@@ -42,6 +42,7 @@ from .evaluation import (
     ccr,
     cv_select,
     cv_select_classification,
+    cv_select_classification_pairs,
     default_grid,
     holdout_labels,
     holdout_predictions,
@@ -109,6 +110,7 @@ __all__ = [
     "classify",
     "cv_select",
     "cv_select_classification",
+    "cv_select_classification_pairs",
     "default_grid",
     "eval_radial",
     "eval_scalar",

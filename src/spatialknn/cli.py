@@ -39,7 +39,7 @@ from .evaluation import (
     benchmark_replications,
     ccr,
     cv_select,
-    cv_select_classification,
+    cv_select_classification_pairs,
     default_grid,
     holdout_labels,
     holdout_predictions,
@@ -263,6 +263,24 @@ def cmd_classify(cfg: ExperimentConfig) -> CommandOutcome:
     test = data.subset(test_idx)
     m = data.n_classes
     k_values, k_prime_values, h_values, rho_values = _classify_grids(cfg, train)
+    grids = {
+        "knn": ParamGrid(
+            k_values=k_values,
+            k_prime_values=k_prime_values,
+            k1_specs=KERNEL_NAMES,
+            k2_specs=KERNEL_NAMES,
+        ),
+        "nw": ParamGrid(
+            h_values=h_values,
+            rho_values=rho_values,
+            k1_specs=KERNEL_NAMES,
+            k2_specs=KERNEL_NAMES,
+        ),
+    }
+    winners = {}
+    for method, grid in grids.items():
+        _progress(f"classify: {method} search over every kernel pair")
+        winners[method] = cv_select_classification_pairs(train, grid, method, m)
     columns = _class_columns(data)
     header = (
         ("k1", "k2")
@@ -272,23 +290,10 @@ def cmd_classify(cfg: ExperimentConfig) -> CommandOutcome:
     rows = []
     best = None
     for k1 in KERNEL_NAMES:
-        _progress(f"classify: covariate kernel {k1}")
         for k2 in KERNEL_NAMES:
-            knn_grid = ParamGrid(
-                k_values=k_values,
-                k_prime_values=k_prime_values,
-                k1_specs=(k1,),
-                k2_specs=(k2,),
-            )
-            nw_grid = ParamGrid(
-                h_values=h_values,
-                rho_values=rho_values,
-                k1_specs=(k1,),
-                k2_specs=(k2,),
-            )
             row = [k1, k2]
-            for method, grid in (("knn", knn_grid), ("nw", nw_grid)):
-                params, _ = cv_select_classification(train, grid, method, m)
+            for method in grids:
+                params, _ = winners[method][k1, k2]
                 report = ccr(test.labels, holdout_labels(train, test, params, m), m)
                 row.append(report.overall)
                 row.extend(report.per_class[j - 1] for _, j in columns)

@@ -44,7 +44,8 @@ class SpatialDataset:
         internal class - 1 (e.g. ``(0, 1)`` when presence/absence data
         coded 0/1 was mapped onto classes 1/2).
 
-    At least one of ``responses``/``labels`` must be present. All arrays
+    At least one of ``responses``/``labels`` must be present; covariates
+    and responses must be finite (``DataError`` otherwise). All arrays
     are copied and frozen; instances are safe to share across threads.
     """
 
@@ -64,6 +65,8 @@ class SpatialDataset:
             raise ValueError(
                 f"{len(X)} covariate rows for {len(self.sites)} sites"
             )
+        if not np.isfinite(X).all():
+            raise DataError("covariates must be finite")
         X = X.copy()
         X.flags.writeable = False
         self.covariates = X
@@ -73,6 +76,8 @@ class SpatialDataset:
             y = np.asarray(self.responses, dtype=float).copy()
             if y.shape != (len(X),):
                 raise ValueError("responses must be one real per site")
+            if not np.isfinite(y).all():
+                raise DataError("responses must be finite")
             y.flags.writeable = False
             self.responses = y
         if self.labels is not None:

@@ -26,43 +26,57 @@ KERNEL_NAMES = (
 )
 
 
+# Each kernel receives ``|u|`` in an array that :func:`eval_scalar` owns
+# and writes its values over it, so evaluating a kernel allocates no
+# array beyond that one (Parzen: only copies of its two pieces, and
+# masks). The other compact kernels use the clamp form
+# ``max(f(u), 0)``: ``1 - u*u`` and ``1 - u`` are negative exactly when
+# ``u > 1``, so the values equal the masked piecewise forms bit for bit,
+# and ``fmax`` maps nan (like ``inf``) to 0.
+
+
 def _biweight(u):
-    out = np.zeros_like(u)
-    m = u <= 1.0
-    out[m] = 0.9375 * (1.0 - u[m] ** 2) ** 2
-    return out
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.fmax(u, 0.0, out=u)
+    np.multiply(u, u, out=u)
+    return np.multiply(u, 0.9375, out=u)
 
 
 def _epanechnikov(u):
-    out = np.zeros_like(u)
-    m = u <= 1.0
-    out[m] = 0.75 * (1.0 - u[m] ** 2)
-    return out
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.fmax(u, 0.0, out=u)
+    return np.multiply(u, 0.75, out=u)
 
 
 def _gaussian(u):
-    return np.exp(-0.5 * u**2)
+    np.multiply(u, u, out=u)
+    np.multiply(u, -0.5, out=u)
+    return np.exp(u, out=u)
 
 
 def _indicator(u):
-    return (u <= 1.0).astype(float)
+    return np.less_equal(u, 1.0, out=u)
 
 
 def _parzen(u):
-    # Piecewise cubic: 1 - 6u^2 + 6u^3 on [0, 1/2), 2(1-u)^3 on [1/2, 1].
-    out = np.zeros_like(u)
+    # Piecewise cubic: 1 - 6u^2 + 6u^3 on [0, 1/2), 2(1-u)^3 on [1/2, 1];
+    # the cubics are evaluated on their own pieces only.
     inner = u < 0.5
-    outer = ~inner & (u <= 1.0)
-    out[inner] = 1.0 - 6.0 * u[inner] ** 2 + 6.0 * u[inner] ** 3
-    out[outer] = 2.0 * (1.0 - u[outer]) ** 3
-    return out
+    outer = u <= 1.0
+    outer ^= inner
+    a = u[inner]
+    b = u[outer]
+    u.fill(0.0)
+    u[inner] = 1.0 - 6.0 * a**2 + 6.0 * a**3
+    u[outer] = 2.0 * (1.0 - b) ** 3
+    return u
 
 
 def _triangular(u):
-    out = np.zeros_like(u)
-    m = u <= 1.0
-    out[m] = 1.0 - u[m]
-    return out
+    np.subtract(1.0, u, out=u)
+    return np.fmax(u, 0.0, out=u)
 
 
 _KERNELS = {
@@ -103,7 +117,7 @@ def eval_scalar(name: str, u):
     fn = _KERNELS.get(name)
     if fn is None:
         validate_kernel(name)
-    u = np.abs(np.asarray(u, dtype=float))
+    u = np.abs(np.asarray(u, dtype=float))  # a new array; the kernel overwrites it
     scalar = u.ndim == 0
     out = fn(u[None] if scalar else u)
     return float(out[0]) if scalar else out

@@ -97,14 +97,23 @@ def site_distance(a, b) -> float:
 
 def distances_to(coords, point) -> np.ndarray:
     """Euclidean distances from one point to each row of ``coords``."""
+    return distances_between(coords, np.asarray(point, dtype=float).ravel())[0]
+
+
+def distances_between(coords, points) -> np.ndarray:
+    """Euclidean distances from each row of ``points`` to each row of ``coords``.
+
+    Row ``i`` of the ``(len(points), len(coords))`` result is
+    ``distances_to(coords, points[i])``.
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    point = np.asarray(point, dtype=float).ravel()
-    if coords.shape[1] != point.shape[0]:
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if coords.shape[1] != points.shape[1]:
         raise ValueError(
             f"dimension mismatch: points are {coords.shape[1]}-D, "
-            f"query is {point.shape[0]}-D"
+            f"queries are {points.shape[1]}-D"
         )
-    return np.linalg.norm(coords - point, axis=1)
+    return np.linalg.norm(coords[None, :, :] - points[:, None, :], axis=2)
 
 
 def pairwise_distances(coords) -> np.ndarray:

@@ -37,16 +37,20 @@ class BandwidthResult:
         return self.bandwidth == 0.0
 
 
-def _kth_distance(dists: np.ndarray, candidates: np.ndarray, k: int) -> BandwidthResult:
+def check_rank(k: int, available: int) -> int:
+    """Neighbour rank ``k`` as an int, if ``available`` points can supply it."""
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if candidates.size == 0:
+    if available == 0:
         raise ValueError("no points available for neighbour search")
-    if k > candidates.size:
-        raise ValueError(
-            f"k={k} exceeds the {candidates.size} available point(s)"
-        )
+    if k > available:
+        raise ValueError(f"k={k} exceeds the {available} available point(s)")
+    return k
+
+
+def _kth_distance(dists: np.ndarray, candidates: np.ndarray, k: int) -> BandwidthResult:
+    k = check_rank(k, candidates.size)
     cd = dists[candidates]
     bandwidth = float(np.partition(cd, k - 1)[k - 1])
     neighbors = candidates[cd <= bandwidth]

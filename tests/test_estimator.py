@@ -374,6 +374,18 @@ class TestSpatialDataset:
                 sites=sites, covariates=np.zeros(3), labels=np.array([1.0, 2.0, 1.0])
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_covariates_rejected(self, bad):
+        covariates = np.array([0.0, bad, 2.0])
+        with pytest.raises(DataError, match="covariates must be finite"):
+            SpatialDataset(sites=make_lattice((3,)), covariates=covariates, responses=np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_responses_rejected(self, bad):
+        responses = np.array([0.0, 1.0, bad])
+        with pytest.raises(DataError, match="responses must be finite"):
+            SpatialDataset(sites=make_lattice((3,)), covariates=np.zeros(3), responses=responses)
+
     def test_arrays_frozen(self):
         data = SpatialDataset(
             sites=make_lattice((3,)),

@@ -7,6 +7,7 @@ Key oracles:
 - the hand-rolled t tail probabilities against scipy.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,12 +15,16 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from spatialknn import evaluation
 from spatialknn.errors import DegenerateInputError
 from spatialknn.estimator import (
     KnnParams,
     NwParams,
     SpatialDataset,
+    class_scores,
     classify,
+    knn_weights,
+    nw_weights,
     predict,
     predict_nw,
 )
@@ -31,6 +36,7 @@ from spatialknn.evaluation import (
     ccr,
     cv_select,
     cv_select_classification,
+    cv_select_classification_pairs,
     default_grid,
     holdout_labels,
     holdout_predictions,
@@ -44,8 +50,9 @@ from spatialknn.evaluation import (
     stratified_split,
     student_t_sf,
 )
-from spatialknn.kernels import KERNEL_NAMES
+from spatialknn.kernels import KERNEL_NAMES, eval_scalar
 from spatialknn.lattice import SiteSet, make_lattice, pairwise_distances
+from spatialknn.neighbors import knn_bandwidth
 from spatialknn.simulate import DgpParams, gen_dataset
 
 
@@ -323,6 +330,28 @@ def test_default_grid_errors():
     )
     with pytest.raises(ValueError, match="covariate"):
         default_grid(allsame, "nw")
+
+
+def test_default_grid_caps_k_prime_at_positive_distance_neighbours():
+    # 4 distinct sites, each repeated 20 times: every site has exactly 60
+    # neighbours at positive distance, while n^0.95 would ask for 65
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    rng = np.random.default_rng(3)
+    data = SpatialDataset(
+        sites=SiteSet(np.repeat(corners, 20, axis=0)),
+        covariates=rng.normal(size=80),
+        responses=rng.normal(size=80),
+    )
+    g = default_grid(data, "knn")
+    assert max(g.k_prime_values) == 60
+    assert max(g.k_values) == math.ceil(80**0.9)
+    params, score = cv_select(data, g, "knn")
+    assert params.k_prime <= 60 and math.isfinite(score)
+    coincident = SpatialDataset(
+        sites=SiteSet(np.zeros((5, 2))), covariates=np.arange(5.0), responses=np.zeros(5)
+    )
+    with pytest.raises(ValueError, match="coincide"):
+        default_grid(coincident, "knn")
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +663,56 @@ def test_cv_select_classification_nw():
     assert rate == pytest.approx(loo_ccr(data, params, 3).overall, abs=1e-14)
 
 
+@pytest.mark.parametrize("method", ["knn", "nw"])
+def test_pair_winners_equal_single_pair_searches(method):
+    rng = np.random.default_rng(62)
+    data = random_dataset(rng, n=24, labels=True, duplicates=True)
+    grid = ParamGrid(
+        k_values=(6, 1, 3),
+        k_prime_values=(5, 2),
+        h_values=(2.5, 0.4, 1.0),
+        rho_values=(0.5, 1.5),
+        k1_specs=KERNEL_NAMES,
+        k2_specs=KERNEL_NAMES,
+    )
+    got = cv_select_classification_pairs(data, grid, method, 3)
+    assert list(got) == [(k1, k2) for k1 in KERNEL_NAMES for k2 in KERNEL_NAMES]
+    for (k1, k2), winner in got.items():
+        narrowed = dataclasses.replace(grid, k1_specs=(k1,), k2_specs=(k2,))
+        assert winner == cv_select_classification(data, narrowed, method, 3)
+
+
+@pytest.mark.parametrize("method", ["knn", "nw"])
+def test_pair_winners_do_not_depend_on_kernel_chunks(method, monkeypatch):
+    # one covariate kernel per chunk, two, and all six: same winners, and
+    # each site-kernel matrix is evaluated once per chunk
+    rng = np.random.default_rng(63)
+    data = random_dataset(rng, n=20, labels=True, duplicates=True)
+    grid = ParamGrid(
+        k_values=(2, 5, 9),
+        k_prime_values=(4, 7),
+        h_values=(0.3, 1.2, 2.0),
+        rho_values=(0.6, 1.4),
+        k1_specs=KERNEL_NAMES,
+        k2_specs=KERNEL_NAMES,
+    )
+    calls = []
+
+    def counting(name, u):
+        calls.append(name)
+        return eval_scalar(name, u)
+
+    monkeypatch.setattr(evaluation, "eval_scalar", counting)
+    per_kernel = 3 * 20 * 20 * 8  # three main values of (20, 20) float64
+    results = []
+    for kernels_per_chunk, n_chunks in ((1, 6), (2, 3), (6, 1)):
+        monkeypatch.setattr(evaluation, "_COVARIATE_BLOCK_BYTES", kernels_per_chunk * per_kernel)
+        calls.clear()
+        results.append(cv_select_classification_pairs(data, grid, method, 3))
+        assert len(calls) == 6 * 3 + n_chunks * 6 * 2
+    assert results[0] == results[1] == results[2]
+
+
 # ---------------------------------------------------------------------------
 # holdout helpers
 
@@ -753,3 +832,129 @@ def test_benchmark_failure_names_replication():
 def test_benchmark_needs_two_replications():
     with pytest.raises(ValueError, match="at least 2"):
         benchmark_replications((5, 5), 5.0, 0.1, n_reps=1)
+
+
+def holdout_case(n_test=23):
+    """Training and test sets that reach every branch of the held-out helpers.
+
+    Half the covariates repeat a few integer values (zero covariate
+    bandwidths at small k), the first test sites lie far from every
+    training site (empty weights under compact kernels), and the two
+    training classes make indicator votes tie.
+    """
+    rng = np.random.default_rng(72)
+
+    def make(n, far):
+        coords = rng.normal(size=(n, 2))
+        coords[:far] += 40.0
+        cov = rng.normal(size=n)
+        cov[far : n // 2] = rng.integers(0, 4, size=n // 2 - far)
+        return SpatialDataset(
+            sites=SiteSet(coords),
+            covariates=cov,
+            responses=rng.normal(size=n),
+            labels=rng.integers(1, 3, size=n),
+        )
+
+    return make(30, 0), make(n_test, 4)
+
+
+HOLDOUT_PARAMS = (
+    KnnParams(k=1, k_prime=3),
+    KnnParams(k=3, k_prime=6),
+    KnnParams(k=8, k_prime=12),
+    NwParams(h=0.3, rho=0.6),
+    NwParams(h=1.5, rho=2.0),
+)
+
+
+def per_site(fn, train, test, p, *args):
+    return [fn(train, s, x, p, *args) for s, x in zip(test.sites.coords, test.covariates)]
+
+
+def test_holdout_case_reaches_every_branch():
+    train, test = holdout_case()
+    ties = KnnParams(k=3, k_prime=6, k1="indicator", k2="indicator")
+    assert any(sc[0] == sc[1] > 0.0 for sc in per_site(class_scores, train, test, ties, 3))
+    assert any(knn_bandwidth(train.covariates, x, 3).bandwidth == 0.0 for x in test.covariates)
+    knn, nw = KnnParams(k=1, k_prime=3), NwParams(h=0.3, rho=0.6)
+    assert not all(w.normalized for w in per_site(knn_weights, train, test, knn))
+    assert not all(w.normalized for w in per_site(nw_weights, train, test, nw))
+
+
+@pytest.mark.parametrize("k1", KERNEL_NAMES)
+def test_holdout_blocks_equal_per_site_calls_bitwise(k1, monkeypatch):
+    # blocks of 5 rows over 23 test sites: four full blocks and a short one
+    monkeypatch.setattr(evaluation, "_HOLDOUT_BLOCK", 5)
+    train, test = holdout_case()
+    for k2 in KERNEL_NAMES:
+        for base in HOLDOUT_PARAMS:
+            p = dataclasses.replace(base, k1=k1, k2=k2)
+            fn = predict_nw if isinstance(p, NwParams) else predict
+            want = np.array(per_site(fn, train, test, p))
+            assert holdout_predictions(train, test, p).tobytes() == want.tobytes(), p
+            want = per_site(classify, train, test, p, 3)
+            np.testing.assert_array_equal(holdout_labels(train, test, p, 3), want, err_msg=str(p))
+
+
+def test_holdout_test_set_larger_than_one_block():
+    train, test = holdout_case(n_test=evaluation._HOLDOUT_BLOCK + 9)
+    for p in (
+        KnnParams(k=3, k_prime=6, k1="indicator", k2="indicator"),
+        NwParams(h=1.5, rho=2.0, k1="epanechnikov", k2="parzen"),
+    ):
+        fn = predict_nw if isinstance(p, NwParams) else predict
+        want = np.array(per_site(fn, train, test, p))
+        assert holdout_predictions(train, test, p).tobytes() == want.tobytes()
+        got = holdout_labels(train, test, p)
+        np.testing.assert_array_equal(got, per_site(classify, train, test, p, 2))
+        assert got.dtype == np.int64
+
+
+def test_holdout_errors_match_per_site_calls():
+    train, test = holdout_case()
+    for p in (KnnParams(k=31, k_prime=3), KnnParams(k=3, k_prime=31)):
+        with pytest.raises(ValueError, match="exceeds the 30 available"):
+            predict(train, test.sites.coords[0], test.covariates[0], p)
+        with pytest.raises(ValueError, match="exceeds the 30 available"):
+            holdout_predictions(train, test, p)
+    # the k' error names the first query short of neighbours (28 at
+    # positive distance), not the shortest one (25)
+    short = SpatialDataset(
+        sites=SiteSet(np.vstack([np.repeat(test.sites.coords[:2], [2, 5], axis=0),
+                                 train.sites.coords[:23]])),
+        covariates=train.covariates,
+        labels=train.labels,
+    )
+    p = KnnParams(k=3, k_prime=29)
+    with pytest.raises(ValueError, match="exceeds the 28 available"):
+        classify(short, test.sites.coords[0], test.covariates[0], p, 2)
+    with pytest.raises(ValueError, match="exceeds the 28 available"):
+        holdout_labels(short, test, p, 2)
+    wide = test.subset(range(3))
+    wide = SpatialDataset(sites=wide.sites, covariates=np.zeros((3, 2)), labels=wide.labels)
+    with pytest.raises(ValueError, match="query covariate has length 2"):
+        holdout_labels(train, wide, KnnParams(k=3, k_prime=3))
+    assert holdout_predictions(train, test.subset([]), KnnParams(k=3, k_prime=3)).shape == (0,)
+
+
+def test_holdout_labels_round_exact_ties_like_classify():
+    # Class 2's sites mirror class 1's through the query, in reverse order,
+    # so both vote totals sum the same weights in different orders and
+    # rounding alone picks the winner; the blocked vote must round the
+    # way classify() does
+    rng = np.random.default_rng(73)
+    query = SpatialDataset(sites=SiteSet(np.zeros((1, 2))), covariates=np.zeros(1), labels=[1])
+    for _ in range(40):
+        pts = rng.normal(size=(12, 2))
+        train = SpatialDataset(
+            sites=SiteSet(np.vstack([pts, -pts[::-1]])),
+            covariates=np.zeros(24),
+            labels=np.repeat([1, 2], 12),
+        )
+        for p in (
+            KnnParams(k=3, k_prime=20, k1="indicator", k2="gaussian"),
+            NwParams(h=1.0, rho=1.0, k1="gaussian", k2="gaussian"),
+        ):
+            want = per_site(classify, train, query, p, 2)
+            np.testing.assert_array_equal(holdout_labels(train, query, p), want)

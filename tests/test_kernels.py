@@ -137,3 +137,59 @@ def test_validate_kernel():
 def test_eval_scalar_unknown_kernel():
     with pytest.raises(ValueError, match="unknown kernel"):
         eval_scalar("boxcar", 0.5)
+
+
+# The masked piecewise forms the kernels had before they were written in
+# clamp form and computed in place; kept here as the oracle.
+def _masked_biweight(u):
+    out = np.zeros_like(u)
+    m = u <= 1.0
+    out[m] = 0.9375 * (1.0 - u[m] ** 2) ** 2
+    return out
+
+
+def _masked_epanechnikov(u):
+    out = np.zeros_like(u)
+    m = u <= 1.0
+    out[m] = 0.75 * (1.0 - u[m] ** 2)
+    return out
+
+
+def _masked_parzen(u):
+    out = np.zeros_like(u)
+    inner = u < 0.5
+    outer = ~inner & (u <= 1.0)
+    out[inner] = 1.0 - 6.0 * u[inner] ** 2 + 6.0 * u[inner] ** 3
+    out[outer] = 2.0 * (1.0 - u[outer]) ** 3
+    return out
+
+
+def _masked_triangular(u):
+    out = np.zeros_like(u)
+    m = u <= 1.0
+    out[m] = 1.0 - u[m]
+    return out
+
+
+MASKED_FORMS = {
+    "biweight": _masked_biweight,
+    "epanechnikov": _masked_epanechnikov,
+    "gaussian": lambda u: np.exp(-0.5 * u**2),
+    "indicator": lambda u: (u <= 1.0).astype(float),
+    "parzen": _masked_parzen,
+    "triangular": _masked_triangular,
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_NAMES)
+def test_in_place_forms_equal_masked_forms_bitwise(name):
+    edges = np.array(
+        [0.0, 0.5, np.nextafter(0.5, 0.0), 1.0, np.nextafter(1.0, 2.0), np.inf]
+    )
+    grid = np.random.default_rng(5).uniform(0.0, 1.5, size=(40, 50))
+    for u in (edges, grid, np.concatenate([edges, grid.ravel()])):
+        given = -u  # kernels are even; eval_scalar takes |u| into its own array
+        got = eval_scalar(name, given)
+        want = MASKED_FORMS[name](u)
+        assert got.tobytes() == want.tobytes(), name
+        np.testing.assert_array_equal(given, -u)  # the argument is left untouched

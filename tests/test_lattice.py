@@ -5,6 +5,7 @@ import pytest
 
 from spatialknn.lattice import (
     SiteSet,
+    distances_between,
     distances_to,
     make_lattice,
     pairwise_distances,
@@ -113,6 +114,23 @@ def test_distances_to_matches_naive_loop():
 def test_distances_to_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         distances_to(np.zeros((3, 2)), [1.0, 2.0, 3.0])
+
+
+def test_distances_between_rows_equal_distances_to_bitwise():
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        n, b, d = rng.integers(1, 40), rng.integers(1, 12), rng.integers(1, 5)
+        coords = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 1e3])
+        points = rng.normal(size=(b, d))
+        got = distances_between(coords, points)
+        assert got.shape == (b, n)
+        for i in range(b):
+            # the one-query norm of differences, reduced per row
+            want = np.linalg.norm(coords - points[i], axis=1)
+            assert got[i].tobytes() == want.tobytes()
+            assert distances_to(coords, points[i]).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="mismatch"):
+        distances_between(np.zeros((3, 2)), np.zeros((2, 3)))
 
 
 def test_pairwise_distances_properties():
