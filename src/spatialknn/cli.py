@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .dataio import (
     CsvSchema,
@@ -36,11 +36,11 @@ from .estimator import NwParams
 from .evaluation import (
     BenchmarkCell,
     ParamGrid,
+    _complete_grid,
     benchmark_replications,
     ccr,
     cv_select,
     cv_select_classification_pairs,
-    default_grid,
     holdout_labels,
     holdout_predictions,
     mae,
@@ -196,7 +196,7 @@ def _describe(params) -> str:
 
 def cmd_cv(cfg: ExperimentConfig) -> CommandOutcome:
     data = read_dataset(cfg.data_path, cfg.schema)
-    grid = cfg.grid if cfg.grid is not None else default_grid(data, cfg.method)
+    grid = _complete_grid(cfg.grid, data, cfg.method)
     params, score = cv_select(data, grid, cfg.method)
     path = _emit((_CV_HEADER, [_params_row(params, score)]), cfg)
     return CommandOutcome(
@@ -207,7 +207,7 @@ def cmd_cv(cfg: ExperimentConfig) -> CommandOutcome:
 def cmd_predict(cfg: ExperimentConfig) -> CommandOutcome:
     train = read_dataset(cfg.data_path, cfg.schema)
     target = read_dataset(cfg.target_path, cfg.schema)
-    grid = cfg.grid if cfg.grid is not None else default_grid(train, cfg.method)
+    grid = _complete_grid(cfg.grid, train, cfg.method)
     params, cv_score = cv_select(train, grid, cfg.method)
     _progress(f"selected {_describe(params)} (training loo_mae {cv_score!r})")
     predictions = holdout_predictions(train, target, params)
@@ -222,21 +222,6 @@ def cmd_predict(cfg: ExperimentConfig) -> CommandOutcome:
     return CommandOutcome(
         0, f"predicted {len(target)} sites, mae={err!r} ({cfg.method})", path
     )
-
-
-def _classify_grids(cfg: ExperimentConfig, train):
-    knn_default = default_grid(train, "knn")
-    nw_default = default_grid(train, "nw")
-    g = cfg.grid
-    k_values = g.k_values if g is not None and g.k_values else knn_default.k_values
-    k_prime = (
-        g.k_prime_values
-        if g is not None and g.k_prime_values
-        else knn_default.k_prime_values
-    )
-    h_values = g.h_values if g is not None and g.h_values else nw_default.h_values
-    rho_values = g.rho_values if g is not None and g.rho_values else nw_default.rho_values
-    return k_values, k_prime, h_values, rho_values
 
 
 def _class_columns(data):
@@ -262,21 +247,10 @@ def cmd_classify(cfg: ExperimentConfig) -> CommandOutcome:
     train = data.subset(train_idx)
     test = data.subset(test_idx)
     m = data.n_classes
-    k_values, k_prime_values, h_values, rho_values = _classify_grids(cfg, train)
-    grids = {
-        "knn": ParamGrid(
-            k_values=k_values,
-            k_prime_values=k_prime_values,
-            k1_specs=KERNEL_NAMES,
-            k2_specs=KERNEL_NAMES,
-        ),
-        "nw": ParamGrid(
-            h_values=h_values,
-            rho_values=rho_values,
-            k1_specs=KERNEL_NAMES,
-            k2_specs=KERNEL_NAMES,
-        ),
-    }
+    every_pair = replace(
+        cfg.grid or ParamGrid(), k1_specs=KERNEL_NAMES, k2_specs=KERNEL_NAMES
+    )
+    grids = {method: _complete_grid(every_pair, train, method) for method in ("knn", "nw")}
     winners = {}
     for method, grid in grids.items():
         _progress(f"classify: {method} search over every kernel pair")
@@ -309,33 +283,7 @@ def cmd_classify(cfg: ExperimentConfig) -> CommandOutcome:
     )
 
 
-def _benchmark_grids(cfg: ExperimentConfig):
-    g = cfg.grid
-    if g is None:
-        return None
-    knn_grid = None
-    nw_grid = None
-    if g.k_values and g.k_prime_values:
-        knn_grid = ParamGrid(
-            k_values=g.k_values,
-            k_prime_values=g.k_prime_values,
-            k1_specs=g.k1_specs,
-            k2_specs=g.k2_specs,
-        )
-    if g.h_values and g.rho_values:
-        nw_grid = ParamGrid(
-            h_values=g.h_values,
-            rho_values=g.rho_values,
-            k1_specs=g.k1_specs,
-            k2_specs=g.k2_specs,
-        )
-    if knn_grid is None and nw_grid is None:
-        return None
-    return knn_grid, nw_grid
-
-
 def cmd_benchmark(cfg: ExperimentConfig) -> CommandOutcome:
-    grids = _benchmark_grids(cfg)
     jobs = _threads(cfg)
     cells = []
     designs = [
@@ -355,7 +303,7 @@ def cmd_benchmark(cfg: ExperimentConfig) -> CommandOutcome:
             a,
             sigma,
             cfg.n_reps,
-            grids=grids,
+            grids=(cfg.grid, cfg.grid),
             base_seed=cfg.seed + index * cfg.n_reps,
             n_jobs=jobs,
         )

@@ -11,6 +11,17 @@ On top of the weights sit a regression predictor (weighted mean of the
 responses, falling back to the empirical mean when every weight
 vanishes) and a weighted-majority-vote classifier over labels
 ``{1, ..., M}``.
+
+One engine computes the weights of every path, per query or for a
+whole block of queries at once: :func:`_raw_weights` is the only place
+that computes bandwidths and the kernel product, :func:`_scaled` the
+only place that resolves a zero bandwidth, and :func:`_normalize`,
+:func:`_weighted_means` and :func:`_votes` the only row reducers. An
+excluded observation is handled by giving it distance inf, which puts
+it outside every kernel's support and outside every neighbour rank.
+The public per-query functions run the engine on a block of one row;
+the held-out and grid-search code in :mod:`.evaluation` runs it on
+larger blocks, with the same result for each row bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +33,14 @@ import numpy as np
 from .errors import DataError
 from .kernels import eval_scalar, validate_kernel
 from .lattice import SiteSet, distances_to
-from .neighbors import knn_bandwidth, spatial_bandwidth
+from .neighbors import (
+    _POSITIVE_SITES,
+    _exclusion_mask,
+    _positive_distances,
+    _row_bandwidths,
+    knn_bandwidth,
+    spatial_bandwidth,
+)
 
 
 @dataclass
@@ -182,26 +200,90 @@ class WeightVector:
     normalized: bool
 
 
-def _keep_mask(n: int, exclude) -> np.ndarray:
-    keep = np.ones(n, dtype=bool)
-    if exclude is not None:
-        idx = np.asarray(list(exclude), dtype=int)
-        if idx.size and (idx.min() < -n or idx.max() >= n):
-            raise ValueError("exclude contains out-of-range indices")
-        keep[idx] = False
-    return keep
-
-
-def _covariate_argument(dx: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Scaled covariate distances, with the 0/0 limit resolved.
+def _scaled(dist: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
+    """Each row of ``dist`` over its bandwidth, with the 0/0 limit resolved.
 
     A zero bandwidth means >= k observations duplicate the query
     covariate; exact matches then take the kernel's full value (argument
     0) and everything else falls outside the support (argument inf).
     """
-    if bandwidth > 0.0:
-        return dx / bandwidth
-    return np.where(dx == 0.0, 0.0, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = dist / bandwidths[:, None]
+    zero = bandwidths == 0.0
+    if zero.any():
+        u[zero] = np.where(dist[zero] == 0.0, 0.0, np.inf)
+    return u
+
+
+def _raw_weights(dx: np.ndarray, ds: np.ndarray, p) -> np.ndarray:
+    """Unnormalized two-kernel weights of an (m, n) block of queries.
+
+    ``dx`` and ``ds`` hold the covariate and site distances from each
+    query (row) to each observation (column); an excluded observation
+    carries distance inf in both, which every kernel maps to +0.0.
+    ``p`` is :class:`KnnParams` (bandwidths from the admissible
+    observations of each row) or :class:`NwParams` (fixed bandwidths).
+    """
+    if isinstance(p, NwParams):
+        u1 = dx / p.h
+        u2 = ds / p.rho
+    else:
+        u1 = _scaled(dx, _row_bandwidths(dx, p.k))
+        h = _row_bandwidths(_positive_distances(ds), p.k_prime, _POSITIVE_SITES)
+        u2 = _scaled(ds, h)
+    return eval_scalar(p.k1, u1) * eval_scalar(p.k2, u2)
+
+
+def _normalize(raw: np.ndarray) -> np.ndarray:
+    """Scale each row of ``raw`` to sum 1 in place; return which rows could be.
+
+    Rows with zero total (every weight vanished) are left as they are.
+    """
+    totals = raw.sum(axis=1)
+    live = totals > 0.0
+    np.divide(raw, totals[:, None], out=raw, where=live[:, None])
+    return live
+
+
+def _weighted_means(
+    weights: np.ndarray, live: np.ndarray, y: np.ndarray, keep
+) -> np.ndarray:
+    """Per row, ``weights @ y``; rows without weight get the mean of ``y[keep]``."""
+    out = np.full(len(weights), y[keep].mean())
+    for i in np.flatnonzero(live):
+        # one dot product per row: a matrix-vector product sums in
+        # another order, and the result must not depend on the block
+        out[i] = weights[i] @ y
+    return out
+
+
+def _votes(
+    weights: np.ndarray, live: np.ndarray, labels: np.ndarray, n_classes: int, keep
+) -> np.ndarray:
+    """Per row, the label with the largest summed weight.
+
+    Rows without weight get the most frequent label among
+    ``labels[keep]``. Ties break toward the smallest label.
+    """
+    classes = labels - 1
+    majority = np.argmax(np.bincount(classes[keep], minlength=n_classes)) + 1
+    out = np.full(len(weights), majority, dtype=np.int64)
+    for i in np.flatnonzero(live):
+        out[i] = np.argmax(np.bincount(classes, weights=weights[i], minlength=n_classes)) + 1
+    return out
+
+
+def _query_weights(data: SpatialDataset, s0, x, p, exclude):
+    """Raw weights of one query as a block of one row, and the kept sites."""
+    x = np.asarray(x, dtype=float).ravel()
+    if x.shape[0] != data.d:
+        raise ValueError(f"query covariate has length {x.shape[0]}, expected {data.d}")
+    excluded = _exclusion_mask(len(data), exclude)
+    dx = distances_to(data.covariates, x)[None]
+    ds = distances_to(data.sites.coords, s0)[None]
+    dx[:, excluded] = np.inf
+    ds[:, excluded] = np.inf
+    return _raw_weights(dx, ds, p), ~excluded
 
 
 def knn_weights(
@@ -215,24 +297,8 @@ def knn_weights(
     neighbour site bandwidth, both computed over the non-excluded sites.
     Weights never depend on responses or labels.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != data.d:
-        raise ValueError(f"query covariate has length {x.shape[0]}, expected {data.d}")
-    H = knn_bandwidth(data.covariates, x, p.k, exclude=exclude).bandwidth
-    h = spatial_bandwidth(data.sites, s0, p.k_prime, exclude=exclude).bandwidth
-    dx = distances_to(data.covariates, x)
-    ds = distances_to(data.sites.coords, s0)
-    raw = eval_scalar(p.k1, _covariate_argument(dx, H)) * eval_scalar(p.k2, ds / h)
-    raw[~_keep_mask(len(data), exclude)] = 0.0
-    total = raw.sum()
-    if total > 0.0:
-        return WeightVector(raw / total, True)
-    return WeightVector(raw, False)
-
-
-def _fallback_mean(data: SpatialDataset, exclude) -> float:
-    keep = _keep_mask(len(data), exclude)
-    return float(data.responses[keep].mean())
+    raw, _ = _query_weights(data, s0, x, p, exclude)
+    return WeightVector(raw[0], bool(_normalize(raw)[0]))
 
 
 def predict(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
@@ -245,10 +311,8 @@ def predict(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
     """
     if data.responses is None:
         raise ValueError("dataset has no responses to predict from")
-    w = knn_weights(data, s0, x, p, exclude=exclude)
-    if not w.normalized:
-        return _fallback_mean(data, exclude)
-    return float(w.weights @ data.responses)
+    raw, keep = _query_weights(data, s0, x, p, exclude)
+    return float(_weighted_means(raw, _normalize(raw), data.responses, keep)[0])
 
 
 def nw_weights(
@@ -259,23 +323,8 @@ def nw_weights(
     Weight ``i`` is proportional to
     ``K1(|x - X_i| / h) * K2(|s0 - i| / rho)``.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != data.d:
-        raise ValueError(f"query covariate has length {x.shape[0]}, expected {data.d}")
-    dx = distances_to(data.covariates, x)
-    ds = distances_to(data.sites.coords, s0)
-    raw = eval_scalar(p.k1, dx / p.h) * eval_scalar(p.k2, ds / p.rho)
-    raw[~_keep_mask(len(data), exclude)] = 0.0
-    total = raw.sum()
-    if total > 0.0:
-        return WeightVector(raw / total, True)
-    return WeightVector(raw, False)
-
-
-def _weights_for(data, s0, x, p, exclude) -> WeightVector:
-    if isinstance(p, NwParams):
-        return nw_weights(data, s0, x, p, exclude=exclude)
-    return knn_weights(data, s0, x, p, exclude=exclude)
+    raw, _ = _query_weights(data, s0, x, p, exclude)
+    return WeightVector(raw[0], bool(_normalize(raw)[0]))
 
 
 def predict_nw(data: SpatialDataset, s0, x, p: NwParams, exclude=None) -> float:
@@ -284,12 +333,7 @@ def predict_nw(data: SpatialDataset, s0, x, p: NwParams, exclude=None) -> float:
     Same ratio estimator with non-random scales ``h`` (covariates) and
     ``rho`` (site distances); same empirical-mean fallback.
     """
-    if data.responses is None:
-        raise ValueError("dataset has no responses to predict from")
-    w = nw_weights(data, s0, x, p, exclude=exclude)
-    if not w.normalized:
-        return _fallback_mean(data, exclude)
-    return float(w.weights @ data.responses)
+    return predict(data, s0, x, p, exclude=exclude)
 
 
 def regress(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
@@ -303,22 +347,17 @@ def regress(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
     """
     if data.responses is None:
         raise ValueError("dataset has no responses to regress on")
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != data.d:
-        raise ValueError(f"query covariate has length {x.shape[0]}, expected {data.d}")
+    raw, keep = _query_weights(data, s0, x, p, exclude)
+    prod = raw[0]
     H = knn_bandwidth(data.covariates, x, p.k, exclude=exclude).bandwidth
     h = spatial_bandwidth(data.sites, s0, p.k_prime, exclude=exclude).bandwidth
-    dx = distances_to(data.covariates, x)
-    ds = distances_to(data.sites.coords, s0)
-    prod = eval_scalar(p.k1, _covariate_argument(dx, H)) * eval_scalar(p.k2, ds / h)
-    prod[~_keep_mask(len(data), exclude)] = 0.0
     if H > 0.0:
         const = 1.0 / (len(data) * h ** data.sites.ndim * H ** data.d)
     else:
         const = 1.0
     f_hat = const * prod.sum()
     if f_hat == 0.0:
-        return _fallback_mean(data, exclude)
+        return float(data.responses[keep].mean())
     g_hat = const * (prod @ data.responses)
     return float(g_hat / f_hat)
 
@@ -347,8 +386,9 @@ def class_scores(
     the vote uses the matching weight scheme.
     """
     labels = _check_labels(data, n_classes)
-    w = _weights_for(data, s0, x, p, exclude)
-    return np.bincount(labels - 1, weights=w.weights, minlength=int(n_classes))
+    raw, _ = _query_weights(data, s0, x, p, exclude)
+    _normalize(raw)
+    return np.bincount(labels - 1, weights=raw[0], minlength=int(n_classes))
 
 
 def classify(
@@ -360,9 +400,6 @@ def classify(
     vote is empty and the majority class of the (non-excluded) training
     labels is returned, ties again toward the smallest label.
     """
-    scores = class_scores(data, s0, x, p, n_classes, exclude=exclude)
-    if scores.sum() > 0.0:
-        return int(np.argmax(scores)) + 1
-    keep = _keep_mask(len(data), exclude)
-    counts = np.bincount(data.labels[keep] - 1, minlength=int(n_classes))
-    return int(np.argmax(counts)) + 1
+    labels = _check_labels(data, n_classes)
+    raw, keep = _query_weights(data, s0, x, p, exclude)
+    return int(_votes(raw, _normalize(raw), labels, int(n_classes), keep)[0])

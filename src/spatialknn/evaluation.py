@@ -9,16 +9,20 @@ used to compare methods, and the replication benchmark that pits the
 adaptive-bandwidth method against the fixed-bandwidth one over freshly
 simulated datasets.
 
-The leave-one-out engine is vectorized: one (n, n) weight matrix per
-grid point, with rows playing the role of held-out sites. It agrees
-with per-site calls to the estimators (``exclude={i}``); the tests
-check that equivalence directly. One grid search covers every
-(covariate kernel, site kernel) pair of its grid: the distance
-matrices, the bandwidths and each covariate kernel's matrices are
-computed once and shared by all pairs, and the search reports the
-winner of every pair as well as the overall one. Held-out test sites
-are weighted in blocks of rows, with the same per-site results as
-calls to the estimators one site at a time.
+Weights come from the estimator module's one engine. Leave-one-out is
+the block "every site, its own column excluded": one (n, n) weight
+matrix per grid point, the diagonal at distance inf, with rows playing
+the role of held-out sites. It agrees with per-site calls to the
+estimators (``exclude={i}``); the tests check that equivalence
+directly. Its two reducers, a matrix product for the weighted means and
+one for the class votes, are the only ones outside the engine: they
+produce the reported scores. One grid search covers every (covariate
+kernel, site kernel) pair of its grid: the distance matrices, the
+bandwidths and each covariate kernel's matrices are computed once and
+shared by all pairs, and the search reports the winner of every pair
+as well as the overall one. Held-out test sites are weighted in blocks
+of rows and reduced by the engine's row reducers, so each result equals
+the per-site call bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,10 +41,15 @@ from .estimator import (
     NwParams,
     SpatialDataset,
     _check_labels,
+    _normalize,
+    _raw_weights,
+    _scaled,
+    _votes,
+    _weighted_means,
 )
 from .kernels import KERNEL_NAMES, eval_scalar, validate_kernel
 from .lattice import distances_between, pairwise_distances
-from .neighbors import check_rank
+from .neighbors import _POSITIVE_SITES, _positive_distances, _row_bandwidths
 from .simulate import DgpParams, gen_dataset
 
 _METHODS = ("knn", "nw")
@@ -372,6 +381,24 @@ def default_grid(data: SpatialDataset, method: str) -> ParamGrid:
     )
 
 
+# the (main, auxiliary) value axes each method searches
+_AXES = {"knn": ("k_values", "k_prime_values"), "nw": ("h_values", "rho_values")}
+
+
+def _complete_grid(grid: ParamGrid | None, data: SpatialDataset, method: str) -> ParamGrid:
+    """``grid`` with the empty value axes of ``method`` taken from :func:`default_grid`.
+
+    None counts as a grid with every value axis empty and the default
+    kernels.
+    """
+    grid = ParamGrid() if grid is None else grid
+    missing = [name for name in _AXES[_check_method(method)] if not getattr(grid, name)]
+    if not missing:
+        return grid
+    default = default_grid(data, method)
+    return replace(grid, **{name: getattr(default, name) for name in missing})
+
+
 # ---------------------------------------------------------------------------
 # leave-one-out engine
 
@@ -384,54 +411,10 @@ def _loo_matrices(data: SpatialDataset):
     return dx, ds
 
 
-def _kth_per_row(dist: np.ndarray, k: int) -> np.ndarray:
-    # copied out, so the partitioned (n, n) array is freed at once
-    return np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
-
-
-def _row_kth(dist: np.ndarray, k: int, what: str) -> np.ndarray:
-    n = dist.shape[0]
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"{what}={k} out of range 1..{n - 1} for {n} sites")
-    return _kth_per_row(dist, k)
-
-
-def _spatial_rank_distances(ds: np.ndarray) -> np.ndarray:
-    # Sites at distance 0 from the target never count toward its
-    # spatial bandwidth, the target itself included.
-    return np.where(ds == 0.0, np.inf, ds)
-
-
-def _row_spatial_bandwidths(ds_rank: np.ndarray, k_prime: int) -> np.ndarray:
-    h = _row_kth(ds_rank, k_prime, "k_prime")
-    if not np.isfinite(h).all():
-        raise ValueError(
-            f"k_prime={k_prime} exceeds the positive-distance neighbours of some site"
-        )
-    return h
-
-
-def _scaled_covariate_matrix(dx: np.ndarray, bandwidths: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = dx / bandwidths[:, None]
-    degenerate = bandwidths == 0.0
-    if degenerate.any():
-        u[degenerate] = np.where(dx[degenerate] == 0.0, 0.0, np.inf)
-    return u
-
-
 def _loo_weight_matrix(data: SpatialDataset, params) -> np.ndarray:
     if len(data) < 2:
         raise ValueError("leave-one-out needs at least 2 sites")
-    dx, ds = _loo_matrices(data)
-    if isinstance(params, NwParams):
-        u1 = dx / params.h
-        u2 = ds / params.rho
-    else:
-        u1 = _scaled_covariate_matrix(dx, _row_kth(dx, params.k, "k"))
-        h = _row_spatial_bandwidths(_spatial_rank_distances(ds), params.k_prime)
-        u2 = ds / h[:, None]
-    return eval_scalar(params.k1, u1) * eval_scalar(params.k2, u2)
+    return _raw_weights(*_loo_matrices(data), params)
 
 
 def _loo_weighted_mean(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -513,12 +496,8 @@ def loo_ccr(data: SpatialDataset, params, n_classes=None) -> CcrReport:
 
 
 def _grid_axes(grid: ParamGrid, method: str):
-    if method == "knn":
-        main, aux = grid.k_values, grid.k_prime_values
-        names = ("k_values", "k_prime_values")
-    else:
-        main, aux = grid.h_values, grid.rho_values
-        names = ("h_values", "rho_values")
+    names = _AXES[method]
+    main, aux = (getattr(grid, name) for name in names)
     if not main or not aux:
         raise ValueError(f"empty parameter grid for method {method!r}: need {names}")
     # dedupe keeping one representative per value; selection order is
@@ -559,16 +538,16 @@ def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> 
     dx, ds = _loo_matrices(data)
 
     if method == "knn":
-        h1 = {k: _row_kth(dx, k, "k") for k in main_vals}
-        ds_rank = _spatial_rank_distances(ds)
-        h2 = {kp: _row_spatial_bandwidths(ds_rank, kp) for kp in aux_vals}
-        del ds_rank
+        h1 = {k: _row_bandwidths(dx, k) for k in main_vals}
+        rank = _positive_distances(ds)
+        h2 = {kp: _row_bandwidths(rank, kp, _POSITIVE_SITES) for kp in aux_vals}
+        del rank
 
         def scaled1(k):
-            return _scaled_covariate_matrix(dx, h1[k])
+            return _scaled(dx, h1[k])
 
         def scaled2(kp):
-            return ds / h2[kp][:, None]
+            return _scaled(ds, h2[kp])
 
     else:
 
@@ -685,39 +664,22 @@ _HOLDOUT_BLOCK = 32
 
 
 def _holdout_blocks(train: SpatialDataset, test: SpatialDataset, params):
-    """Raw weights of the test sites against the training data, by row block.
+    """Normalized weights of the test sites against the training data, by row block.
 
-    Yields ``(rows, raw, totals)``: the slice of test sites, their
-    unnormalized two-kernel weights (one row per test site) and each
-    row's sum. Every row equals the raw weight vector of
-    :func:`~spatialknn.estimator.knn_weights` or
-    :func:`~spatialknn.estimator.nw_weights` at that site bit for bit,
-    bandwidths, zero-bandwidth limit and summation order included.
+    Yields ``(rows, weights, live)``: the slice of test sites, their
+    two-kernel weights from :func:`~spatialknn.estimator._raw_weights`
+    (one row per test site, normalized by
+    :func:`~spatialknn.estimator._normalize`) and which rows carry any
+    weight.
     """
     if test.d != train.d:
         raise ValueError(f"query covariate has length {test.d}, expected {train.d}")
-    n = len(train)
-    knn = not isinstance(params, NwParams)
     for start in range(0, len(test), _HOLDOUT_BLOCK):
         rows = slice(start, start + _HOLDOUT_BLOCK)
         dx = distances_between(train.covariates, test.covariates[rows])
         ds = distances_between(train.sites.coords, test.sites.coords[rows])
-        if knn:
-            check_rank(params.k, n)
-            positive = ds > 0.0
-            available = positive.sum(axis=1)
-            short = np.flatnonzero(available < params.k_prime)
-            if short.size:
-                # report the first query short of neighbours, as per-site calls do
-                check_rank(params.k_prime, int(available[short[0]]))
-            u1 = _scaled_covariate_matrix(dx, _kth_per_row(dx, params.k))
-            rank = np.where(positive, ds, np.inf)
-            u2 = ds / _kth_per_row(rank, params.k_prime)[:, None]
-        else:
-            u1 = dx / params.h
-            u2 = ds / params.rho
-        raw = eval_scalar(params.k1, u1) * eval_scalar(params.k2, u2)
-        yield rows, raw, raw.sum(axis=1)
+        weights = _raw_weights(dx, ds, params)
+        yield rows, weights, _normalize(weights)
 
 
 def holdout_predictions(train: SpatialDataset, test: SpatialDataset, params) -> np.ndarray:
@@ -729,17 +691,9 @@ def holdout_predictions(train: SpatialDataset, test: SpatialDataset, params) -> 
     """
     if train.responses is None:
         raise ValueError("dataset has no responses to predict from")
-    y = train.responses
-    fallback = float(y.mean())
     out = np.empty(len(test))
-    for rows, raw, totals in _holdout_blocks(train, test, params):
-        live = totals > 0.0
-        weights = raw[live] / totals[live, None]
-        block = np.full(len(totals), fallback)
-        # one dot product per site: a matrix-vector product would sum
-        # in another order than predict() does
-        block[live] = [w @ y for w in weights]
-        out[rows] = block
+    for rows, weights, live in _holdout_blocks(train, test, params):
+        out[rows] = _weighted_means(weights, live, train.responses, slice(None))
     return out
 
 
@@ -753,23 +707,9 @@ def holdout_labels(
     """
     m = int(n_classes) if n_classes is not None else train.n_classes
     labels = _check_labels(train, m)
-    members = [np.flatnonzero(labels == j) for j in range(1, m + 1)]
-    majority = int(np.argmax(np.bincount(labels - 1, minlength=m))) + 1
     out = np.empty(len(test), dtype=np.int64)
-    for rows, raw, totals in _holdout_blocks(train, test, params):
-        # a positive total leaves some normalized weight positive, so the
-        # vote is empty exactly where the total is zero
-        live = totals > 0.0
-        weights = raw[live] / totals[live, None]
-        scores = np.zeros((len(weights), m))
-        for j, idx in enumerate(members):
-            if idx.size:
-                # classify() adds each class's weights one at a time in
-                # site order (bincount); a running sum keeps that order
-                scores[:, j] = np.cumsum(weights[:, idx], axis=1)[:, -1]
-        block = np.full(len(totals), majority, dtype=np.int64)
-        block[live] = scores.argmax(axis=1) + 1
-        out[rows] = block
+    for rows, weights, live in _holdout_blocks(train, test, params):
+        out[rows] = _votes(weights, live, labels, m, slice(None))
     return out
 
 
@@ -824,8 +764,8 @@ class BenchmarkCell:
 
 def _benchmark_one(shape, a, sigma, seed, knn_grid, nw_grid):
     data = gen_dataset(DgpParams(shape=shape, a=a, sigma=sigma, seed=seed))
-    kg = knn_grid if knn_grid is not None else default_grid(data, "knn")
-    ng = nw_grid if nw_grid is not None else default_grid(data, "nw")
+    kg = _complete_grid(knn_grid, data, "knn")
+    ng = _complete_grid(nw_grid, data, "nw")
     return cv_select(data, kg, "knn")[1], cv_select(data, ng, "nw")[1]
 
 
@@ -849,7 +789,8 @@ def benchmark_replications(
 
     Replication ``r`` simulates a dataset with seed ``base_seed + r``,
     cross-validates both methods on it (``grids`` may pin a
-    ``(knn_grid, nw_grid)`` pair; None means per-dataset defaults) and
+    ``(knn_grid, nw_grid)`` pair; value axes a grid leaves empty, and
+    every axis of a None grid, take that dataset's defaults) and
     records each method's selected leave-one-out MAE. The paired test
     asks whether the fixed-bandwidth method's MAE exceeds the adaptive
     one's. Deterministic given ``base_seed``; replications reduce in

@@ -4,8 +4,13 @@ Two flavours of the same order statistic: :func:`knn_bandwidth` works in
 covariate space (distance to the k-th nearest observation of the query
 covariate), :func:`spatial_bandwidth` works in site space (distance to
 the k'-th nearest observed site, never counting the query site itself).
-Both use partial selection; the full-sort equivalent lives only in the
-test suite as an oracle.
+
+Both are one-row calls of the block helpers the estimators use for any
+number of queries at once: an excluded or otherwise inadmissible point
+carries distance inf, :func:`_positive_distances` makes the sites at
+distance 0 inadmissible, and :func:`_row_bandwidths` takes the k-th
+smallest distance of every row by partial selection. The full-sort
+equivalent lives only in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -37,24 +42,55 @@ class BandwidthResult:
         return self.bandwidth == 0.0
 
 
-def check_rank(k: int, available: int) -> int:
-    """Neighbour rank ``k`` as an int, if ``available`` points can supply it."""
+def check_rank(k: int, available: int, what: str = "points") -> int:
+    """Neighbour rank ``k`` as an int, if ``available`` points can supply it.
+
+    ``what`` names the points in the error message.
+    """
     k = int(k)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if available == 0:
-        raise ValueError("no points available for neighbour search")
+        raise ValueError(f"no {what} available")
     if k > available:
-        raise ValueError(f"k={k} exceeds the {available} available point(s)")
+        raise ValueError(f"k={k} out of range: exceeds the {available} available {what}")
     return k
 
 
-def _kth_distance(dists: np.ndarray, candidates: np.ndarray, k: int) -> BandwidthResult:
-    k = check_rank(k, candidates.size)
-    cd = dists[candidates]
-    bandwidth = float(np.partition(cd, k - 1)[k - 1])
-    neighbors = candidates[cd <= bandwidth]
-    return BandwidthResult(bandwidth, neighbors)
+# what a site rank counts: the sites at positive distance from the query
+_POSITIVE_SITES = "positive-distance sites"
+
+
+def _row_bandwidths(dist: np.ndarray, k: int, what: str = "points") -> np.ndarray:
+    """k-th smallest distance in each row of an (m, n) block.
+
+    Inadmissible points carry distance inf. The first row with fewer
+    than ``k`` finite entries raises :func:`check_rank`'s error.
+    """
+    available = np.isfinite(dist).sum(axis=1)
+    k = check_rank(k, int(available[np.argmax(available < int(k))]), what)
+    # copied out, so the partitioned block is freed at once
+    return np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
+
+
+def _positive_distances(ds: np.ndarray) -> np.ndarray:
+    """Site distances with every site at distance <= 0 made inadmissible (inf).
+
+    The prediction site never counts as its own neighbour, and neither
+    does any site that duplicates it.
+    """
+    return np.where(ds > 0.0, ds, np.inf)
+
+
+def _exclusion_mask(n: int, exclude) -> np.ndarray:
+    """Boolean mask of the ``exclude`` indices among ``n`` points."""
+    mask = np.zeros(n, dtype=bool)
+    if exclude is not None:
+        idx = np.asarray(list(exclude), dtype=int)
+        if idx.size and (idx.min() < -n or idx.max() >= n):
+            raise ValueError("exclude contains out-of-range indices")
+        mask[idx] = True
+    return mask
 
 
 def knn_bandwidth(points, query, k: int, exclude=None) -> BandwidthResult:
@@ -73,8 +109,9 @@ def knn_bandwidth(points, query, k: int, exclude=None) -> BandwidthResult:
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dists = distances_to(points, query)
-    candidates = _candidate_indices(len(dists), exclude)
-    return _kth_distance(dists, candidates, k)
+    dists[_exclusion_mask(len(dists), exclude)] = np.inf
+    bandwidth = float(_row_bandwidths(dists[None], k)[0])
+    return BandwidthResult(bandwidth, np.flatnonzero(dists <= bandwidth))
 
 
 def spatial_bandwidth(sites, s0, k_prime: int, exclude=None) -> BandwidthResult:
@@ -88,17 +125,7 @@ def spatial_bandwidth(sites, s0, k_prime: int, exclude=None) -> BandwidthResult:
         np.asarray(sites, dtype=float)
     )
     dists = distances_to(coords, s0)
-    candidates = _candidate_indices(len(dists), exclude)
-    candidates = candidates[dists[candidates] > 0.0]
-    return _kth_distance(dists, candidates, k_prime)
-
-
-def _candidate_indices(n: int, exclude) -> np.ndarray:
-    if exclude is None:
-        return np.arange(n)
-    keep = np.ones(n, dtype=bool)
-    idx = np.asarray(list(exclude), dtype=int)
-    if idx.size and (idx.min() < -n or idx.max() >= n):
-        raise ValueError("exclude contains out-of-range indices")
-    keep[idx] = False
-    return np.flatnonzero(keep)
+    dists[_exclusion_mask(len(dists), exclude)] = np.inf
+    dists = _positive_distances(dists)
+    bandwidth = float(_row_bandwidths(dists[None], k_prime, _POSITIVE_SITES)[0])
+    return BandwidthResult(bandwidth, np.flatnonzero(dists <= bandwidth))

@@ -5,6 +5,8 @@ files live in tmp_path. Oracles recompute the reports with direct
 library calls on the same files.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,12 @@ from spatialknn.evaluation import (
     ParamGrid,
     benchmark_replications,
     cv_select,
+    default_grid,
     holdout_predictions,
     mae,
 )
 from spatialknn.kernels import KERNEL_NAMES
+from spatialknn.simulate import DgpParams, gen_dataset
 
 SIM_SCHEMA = CsvSchema(("s1", "s2"), ("x",), response_column="y")
 
@@ -393,3 +397,97 @@ def test_print_config_echo_roundtrip(tmp_path, capsys):
 
     validate_config(want)
     assert reparsed == want
+
+
+# ---------------------------------------------------------------------------
+# [grid] sections that set only some axes
+
+
+KERNELS_ONLY = "[grid]\nk1 = indicator\nk2 = gaussian\n"
+
+
+def kernels_only(grid):
+    """``grid`` searched with the kernels of ``KERNELS_ONLY``."""
+    return replace(grid, k1_specs=("indicator",), k2_specs=("gaussian",))
+
+
+def test_cv_grid_of_kernels_only_takes_default_axes(tmp_path, capsys):
+    data_path = simulate(tmp_path, "d.csv")
+    cfg = write(
+        tmp_path,
+        "cv.cfg",
+        "[run]\nmode = cv\n\n"
+        f"[data]\npath = {data_path}\nsite_columns = s1, s2\n"
+        "covariate_columns = x\nresponse_column = y\n\n" + KERNELS_ONLY,
+    )
+    out = tmp_path / "report.csv"
+    code, _, err = run(capsys, "cv", "--config", cfg, "--output", str(out))
+    assert code == 0, err
+    data = read_dataset(data_path, SIM_SCHEMA)
+    params, score = cv_select(data, kernels_only(default_grid(data, "knn")), "knn")
+    assert out.read_text().splitlines()[1] == (
+        f"knn,{params.k},{params.k_prime},,,indicator,gaussian,{score!r}"
+    )
+
+
+def test_predict_grid_of_kernels_only_takes_default_axes(tmp_path, capsys):
+    train_path = simulate(tmp_path, "train.csv", seed=3)
+    target_path = simulate(tmp_path, "target.csv", seed=4)
+    cfg = write(
+        tmp_path,
+        "pred.cfg",
+        "[run]\nmode = predict\nmethod = nw\n\n"
+        f"[data]\npath = {train_path}\ntarget = {target_path}\n"
+        "site_columns = s1, s2\ncovariate_columns = x\nresponse_column = y\n\n" + KERNELS_ONLY,
+    )
+    out = tmp_path / "pred.csv"
+    code, _, err = run(capsys, "predict", "--config", cfg, "--output", str(out))
+    assert code == 0, err
+    assert "k1=indicator k2=gaussian" in err
+    train = read_dataset(train_path, SIM_SCHEMA)
+    target = read_dataset(target_path, SIM_SCHEMA)
+    params, _ = cv_select(train, kernels_only(default_grid(train, "nw")), "nw")
+    err = mae(target.responses, holdout_predictions(train, target, params))
+    assert out.read_text().splitlines()[-1] == f"mae,,,{err!r}"
+
+
+def test_classify_grid_of_kernels_only_takes_default_axes(tmp_path, capsys):
+    # classify tunes every kernel pair whatever k1/k2 say, so a [grid]
+    # naming only kernels runs the same searches as no [grid] at all
+    data_path = presence_file(tmp_path)
+    base = (
+        "[run]\nmode = classify\nseed = 1\n\n"
+        f"[data]\npath = {data_path}\nsite_columns = s1, s2\n"
+        "covariate_columns = x\nlabel_column = p\n\n"
+    )
+    outs = [tmp_path / "plain.csv", tmp_path / "kernels.csv"]
+    for name, text, out in zip(("a.cfg", "b.cfg"), (base, base + KERNELS_ONLY), outs):
+        cfg = write(tmp_path, name, text)
+        code, _, err = run(capsys, "classify", "--config", cfg, "--output", str(out))
+        assert code == 0, err
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 37
+
+
+def test_benchmark_grid_of_kernels_only_keeps_its_kernels(tmp_path, capsys):
+    cfg = write(
+        tmp_path,
+        "bench.cfg",
+        "[run]\nmode = benchmark\nseed = 5\n\n"
+        "[simulation]\nshapes = 6x6\na_values = 5.0\nsigma_values = 0.1\nn_reps = 2\n\n"
+        + KERNELS_ONLY,
+    )
+    out = tmp_path / "bench.csv"
+    code, _, err = run(
+        capsys, "benchmark", "--config", cfg, "--output", str(out), "--threads", "1"
+    )
+    assert code == 0, err
+    # each replication fills the value axes from its own dataset
+    scores = {"knn": [], "nw": []}
+    for r in range(2):
+        data = gen_dataset(DgpParams(shape=(6, 6), a=5.0, sigma=0.1, seed=5 + r))
+        for method, values in scores.items():
+            values.append(cv_select(data, kernels_only(default_grid(data, method)), method)[1])
+    cells = out.read_text().splitlines()[1].split(",")
+    assert float(cells[4]) == float(np.mean(scores["knn"]))
+    assert float(cells[6]) == float(np.mean(scores["nw"]))
