@@ -19,7 +19,8 @@ only place that resolves a zero bandwidth, and :func:`_normalize`,
 :func:`_weighted_means` and :func:`_votes` the only row reducers. An
 excluded observation is handled by giving it distance inf, which puts
 it outside every kernel's support and outside every neighbour rank.
-The public per-query functions run the engine on a block of one row;
+The public per-query functions run the engine on a block of one row
+and reject a non-finite query covariate or site with ``DataError``;
 the held-out and grid-search code in :mod:`.evaluation` runs it on
 larger blocks, with the same result for each row bit for bit.
 """
@@ -36,6 +37,7 @@ from .lattice import SiteSet, distances_to
 from .neighbors import (
     _POSITIVE_SITES,
     _exclusion_mask,
+    _finite_query,
     _positive_distances,
     _row_bandwidths,
     knn_bandwidth,
@@ -275,9 +277,10 @@ def _votes(
 
 def _query_weights(data: SpatialDataset, s0, x, p, exclude):
     """Raw weights of one query as a block of one row, and the kept sites."""
-    x = np.asarray(x, dtype=float).ravel()
+    x = _finite_query(x, "query covariate")
     if x.shape[0] != data.d:
         raise ValueError(f"query covariate has length {x.shape[0]}, expected {data.d}")
+    s0 = _finite_query(s0, "query site")
     excluded = _exclusion_mask(len(data), exclude)
     dx = distances_to(data.covariates, x)[None]
     ds = distances_to(data.sites.coords, s0)[None]

@@ -10,19 +10,24 @@ adaptive-bandwidth method against the fixed-bandwidth one over freshly
 simulated datasets.
 
 Weights come from the estimator module's one engine. Leave-one-out is
-the block "every site, its own column excluded": one (n, n) weight
-matrix per grid point, the diagonal at distance inf, with rows playing
-the role of held-out sites. It agrees with per-site calls to the
-estimators (``exclude={i}``); the tests check that equivalence
+the query block "every site, its own column excluded", with rows playing
+the role of held-out sites and each site's own column at distance inf.
+Every leave-one-out quantity is row-local (a row's distances,
+bandwidths, kernel values, weights and weighted mean or vote), so a
+pass walks the sites in blocks of rows: memory is a few (rows, n)
+matrices, never (n, n) ones, and a dataset small enough for one block
+runs exactly the whole-matrix computation. It agrees with per-site calls
+to the estimators (``exclude={i}``); the tests check that equivalence
 directly. Its two reducers, a matrix product for the weighted means and
 one for the class votes, are the only ones outside the engine: they
 produce the reported scores. One grid search covers every (covariate
-kernel, site kernel) pair of its grid: the distance matrices, the
-bandwidths and each covariate kernel's matrices are computed once and
-shared by all pairs, and the search reports the winner of every pair
-as well as the overall one. Held-out test sites are weighted in blocks
-of rows and reduced by the engine's row reducers, so each result equals
-the per-site call bit for bit.
+kernel, site kernel) pair of its grid: within a row block, the
+distances, the bandwidths and each covariate kernel's matrices are
+computed once and shared by all pairs; each grid point's loss is summed
+over the blocks, and the search reports the winner of every pair as
+well as the overall one. Held-out test sites are weighted in blocks of
+rows and reduced by the engine's row reducers, so each result equals the
+per-site call bit for bit.
 """
 
 from __future__ import annotations
@@ -48,8 +53,14 @@ from .estimator import (
     _weighted_means,
 )
 from .kernels import KERNEL_NAMES, eval_scalar, validate_kernel
-from .lattice import distances_between, pairwise_distances
-from .neighbors import _POSITIVE_SITES, _positive_distances, _row_bandwidths
+from .lattice import _distance_rows, distances_between
+from .neighbors import (
+    _POSITIVE_SITES,
+    _check_rows,
+    _positive_distances,
+    _row_bandwidths,
+    check_rank,
+)
 from .simulate import DgpParams, gen_dataset
 
 _METHODS = ("knn", "nw")
@@ -266,6 +277,35 @@ def paired_ttest(a, b):
 
 
 # ---------------------------------------------------------------------------
+# row blocks
+
+# Memory for the (rows, n) float64 matrices that a leave-one-out pass
+# holds at once: the covariate-kernel matrices of a grid search, or one
+# matrix of any other pass. Rows per block are chosen to fit, so a grid
+# search at 8 k values runs as one block up to 627 sites, and in 11
+# blocks of 194 rows at 2025 sites, which took the peak RSS of a
+# `predict` call on a 45x45 lattice from 470 to 77 MB with the same
+# report (one BLAS thread). Within a block, a grid search takes
+# as many covariate kernels at a time as fit. On the bundled survey's two
+# 36-pair classification searches (396 training sites, one block) this
+# cap, two kernels at a time for knn and three for nw, took the searches
+# from 2.39 s to 2.00 s and the peak RSS of the `classify` call from 59
+# to 71 MB at one BLAS thread; holding all six kernels gained 0.1 s more
+# for 106 MB.
+_COVARIATE_BLOCK_BYTES = 24 * 2**20
+
+
+def _row_blocks(n: int, matrices: int) -> list:
+    """Consecutive row slices covering ``range(n)``.
+
+    Each holds as many rows as let ``matrices`` (rows, n) float64
+    arrays fit in ``_COVARIATE_BLOCK_BYTES``, and at least one.
+    """
+    rows = max(1, min(n, _COVARIATE_BLOCK_BYTES // (8 * max(n, 1) * matrices)))
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+# ---------------------------------------------------------------------------
 # parameter grids
 
 
@@ -325,24 +365,40 @@ def _power_law_grid(n: int, start: float, cap: int) -> tuple:
     return tuple(sorted(vals))
 
 
-def _min_positive_site_neighbours(data: SpatialDataset) -> int:
+def _positive_site_neighbours(data: SpatialDataset) -> np.ndarray:
     # A site's spatial bandwidth ranks only the sites at positive
     # distance from it, i.e. every site but its own duplicates.
-    _, counts = np.unique(data.sites.coords, axis=0, return_counts=True)
-    return len(data) - int(counts.max())
+    _, inverse, counts = np.unique(
+        data.sites.coords, axis=0, return_inverse=True, return_counts=True
+    )
+    return len(data) - counts[inverse.ravel()]
 
 
 _SCALE_POINTS = 6
 
 
-def _scale_grid(dist: np.ndarray, what: str) -> tuple:
+def _positive_pair_distances(coords: np.ndarray) -> np.ndarray:
+    # The positive distances between rows i < j of coords, in row-major
+    # order, gathered a row block at a time: no (n, n) matrix is built.
+    n = len(coords)
+    out = np.empty(n * (n - 1) // 2)
+    filled = 0
+    for rows in _row_blocks(n, 1):
+        dist = _distance_rows(coords, rows)
+        keep = (np.arange(rows.start, rows.stop)[:, None] < np.arange(n)) & (dist > 0.0)
+        size = int(np.count_nonzero(keep))
+        out[filled : filled + size] = dist[keep]
+        filled += size
+    return out[:filled]
+
+
+def _scale_grid(coords: np.ndarray, what: str) -> tuple:
     # Fixed bandwidths scan the interquartile range of the positive
     # pairwise distances. Deliberately central and coarse: the
     # fixed-bandwidth method smooths at one global scale, and handing it
     # a fine grid reaching into the extreme percentiles would turn it
     # into a differently-tuned estimator, not the comparator.
-    off = dist[np.triu_indices_from(dist, k=1)]
-    pos = off[off > 0.0]
+    pos = _positive_pair_distances(coords)
     if pos.size == 0:
         raise ValueError(f"all pairwise {what} distances are zero; no bandwidth scale")
     lo = float(np.percentile(pos, 25.0))
@@ -368,7 +424,7 @@ def default_grid(data: SpatialDataset, method: str) -> ParamGrid:
     if n < 2:
         raise ValueError("need at least 2 sites to build a grid")
     if method == "knn":
-        k_prime_cap = _min_positive_site_neighbours(data)
+        k_prime_cap = int(_positive_site_neighbours(data).min())
         if k_prime_cap < 1:
             raise ValueError("all sites coincide; no site has a positive-distance neighbour")
         return ParamGrid(
@@ -376,8 +432,8 @@ def default_grid(data: SpatialDataset, method: str) -> ParamGrid:
             k_prime_values=_power_law_grid(n, _GAMMA_START_KPRIME, k_prime_cap),
         )
     return ParamGrid(
-        h_values=_scale_grid(pairwise_distances(data.covariates), "covariate"),
-        rho_values=_scale_grid(pairwise_distances(data.sites.coords), "site"),
+        h_values=_scale_grid(data.covariates, "covariate"),
+        rho_values=_scale_grid(data.sites.coords, "site"),
     )
 
 
@@ -403,34 +459,56 @@ def _complete_grid(grid: ParamGrid | None, data: SpatialDataset, method: str) ->
 # leave-one-out engine
 
 
-def _loo_matrices(data: SpatialDataset):
-    dx = pairwise_distances(data.covariates)
-    ds = pairwise_distances(data.sites.coords)
-    np.fill_diagonal(dx, np.inf)
-    np.fill_diagonal(ds, np.inf)
+def _loo_distances(data: SpatialDataset, rows: slice):
+    """Covariate and site distances from the sites in ``rows`` to every
+    site, each site's own column at distance inf."""
+    dx = _distance_rows(data.covariates, rows)
+    ds = _distance_rows(data.sites.coords, rows)
+    own = np.arange(rows.stop - rows.start)
+    dx[own, own + rows.start] = np.inf
+    ds[own, own + rows.start] = np.inf
     return dx, ds
 
 
-def _loo_weight_matrix(data: SpatialDataset, params) -> np.ndarray:
+def _check_loo_ranks(data: SpatialDataset, ks, k_primes) -> None:
+    """Raise the error a leave-one-out pass over all rows would raise first.
+
+    Covariate ranks are checked in the given order, then site ranks. Every
+    site has n - 1 other covariates, and the positive-distance sites come
+    from site multiplicities, so no distances are needed.
+    """
+    for k in ks:
+        check_rank(k, len(data) - 1)
+    available = _positive_site_neighbours(data)
+    for k_prime in k_primes:
+        _check_rows(available, k_prime, _POSITIVE_SITES)
+
+
+def _loo_weights(data: SpatialDataset, params):
+    """Raw leave-one-out weights of ``params``, one row block at a time.
+
+    Yields ``(rows, weights)``.
+    """
     if len(data) < 2:
         raise ValueError("leave-one-out needs at least 2 sites")
-    return _raw_weights(*_loo_matrices(data), params)
+    for rows in _row_blocks(len(data), 1):
+        yield rows, _raw_weights(*_loo_distances(data, rows), params)
 
 
-def _loo_weighted_mean(weights: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _loo_weighted_mean(weights: np.ndarray, y: np.ndarray, rows: slice) -> np.ndarray:
     totals = weights.sum(axis=1)
     live = totals > 0.0
     if live.all():
-        # no row selection, which would copy the whole matrix
+        # no row selection, which would copy the whole block
         return (weights @ y) / totals
-    out = np.empty(y.size)
+    out = np.empty(len(weights))
     out[live] = (weights[live] @ y) / totals[live]
     # all-zero weight rows fall back to the mean of the other sites
-    out[~live] = (y.sum() - y[~live]) / (y.size - 1)
+    out[~live] = (y.sum() - y[rows][~live]) / (y.size - 1)
     return out
 
 
-def _loo_vote(weights: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+def _loo_vote(weights: np.ndarray, onehot: np.ndarray, rows: slice) -> np.ndarray:
     scores = weights @ onehot
     pred = scores.argmax(axis=1)
     # weights are non-negative and every site votes for one class, so a
@@ -438,7 +516,7 @@ def _loo_vote(weights: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     empty = ~scores.any(axis=1)
     if empty.any():
         counts = onehot.sum(axis=0)
-        pred[empty] = (counts[None, :] - onehot[empty]).argmax(axis=1)
+        pred[empty] = (counts[None, :] - onehot[rows][empty]).argmax(axis=1)
     return (pred + 1).astype(np.int64)
 
 
@@ -451,7 +529,10 @@ def loo_predictions(data: SpatialDataset, params) -> np.ndarray:
     """
     if data.responses is None:
         raise ValueError("leave-one-out prediction needs responses")
-    return _loo_weighted_mean(_loo_weight_matrix(data, params), data.responses)
+    out = np.empty(len(data))
+    for rows, weights in _loo_weights(data, params):
+        out[rows] = _loo_weighted_mean(weights, data.responses, rows)
+    return out
 
 
 def loo_score(data: SpatialDataset, params, method: str | None = None) -> float:
@@ -482,7 +563,10 @@ def loo_labels(data: SpatialDataset, params, n_classes=None) -> np.ndarray:
     :func:`~spatialknn.estimator.classify`.
     """
     onehot = _label_onehot(data, n_classes)
-    return _loo_vote(_loo_weight_matrix(data, params), onehot)
+    out = np.empty(len(data), dtype=np.int64)
+    for rows, weights in _loo_weights(data, params):
+        out[rows] = _loo_vote(weights, onehot, rows)
+    return out
 
 
 def loo_ccr(data: SpatialDataset, params, n_classes=None) -> CcrReport:
@@ -505,77 +589,88 @@ def _grid_axes(grid: ParamGrid, method: str):
     return tuple(dict.fromkeys(main)), tuple(dict.fromkeys(aux))
 
 
-# Memory for the covariate-kernel matrices a grid search holds at once.
-# On the bundled survey's two 36-pair classification searches (396
-# training sites, 10 MB of knn and 7.5 MB of nw matrices per covariate
-# kernel) this cap, two kernels per chunk for knn and three for nw, took
-# the searches from 2.39 s to 2.00 s and the peak RSS of the `classify`
-# call from 59 to 71 MB at one BLAS thread; holding all six kernels
-# gained 0.1 s more for 106 MB.
-_COVARIATE_BLOCK_BYTES = 24 * 2**20
-
-
 def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> dict:
-    """Exhaustive search; ``scorer(weight_matrix) -> float`` is minimized.
+    """Exhaustive search; the summed ``scorer(weights, rows)`` over n is minimized.
 
-    Returns the winner of every (covariate kernel, site kernel) pair as
+    ``scorer`` returns the loss of a block of leave-one-out rows (the
+    sites in the slice ``rows``) from their raw weights. Returns the
+    winner of every (covariate kernel, site kernel) pair as
     ``{(k1, k2): (score, main, aux)}``. Within a pair, ties break toward
     the smallest main parameter (k or h), then the smallest auxiliary
     one (k' or rho); :func:`_best` breaks ties between pairs.
 
-    The distance matrices and bandwidth vectors are computed once; the
-    scaled distances are rebuilt from the bandwidths when a kernel needs
-    them. Covariate kernels are taken in chunks of as many as fit in
-    ``_COVARIATE_BLOCK_BYTES`` (at least one): every covariate-kernel
-    matrix is evaluated once, and every site-kernel matrix once per
-    chunk, so a grid whose covariate matrices all fit evaluates each
-    matrix once.
+    Rank errors are raised before any row is scored, as a whole-matrix
+    search would raise them. The sites are scored in row blocks, sized
+    so that one covariate kernel's matrices fit in
+    ``_COVARIATE_BLOCK_BYTES``. Within a block, the distances and
+    bandwidth vectors are computed once; the scaled distances are rebuilt
+    from the bandwidths when a kernel needs them. Covariate kernels are
+    taken in chunks of as many as fit in the budget (at least one):
+    every covariate-kernel matrix is evaluated once per block, and every
+    site-kernel matrix once per chunk, so a grid whose covariate matrices
+    all fit evaluates each matrix once per block.
     """
     _check_method(method)
     main_vals, aux_vals = _grid_axes(grid, method)
     k1s = tuple(dict.fromkeys(grid.k1_specs))
     k2s = tuple(dict.fromkeys(grid.k2_specs))
-    dx, ds = _loo_matrices(data)
-
     if method == "knn":
-        h1 = {k: _row_bandwidths(dx, k) for k in main_vals}
-        rank = _positive_distances(ds)
-        h2 = {kp: _row_bandwidths(rank, kp, _POSITIVE_SITES) for kp in aux_vals}
-        del rank
+        _check_loo_ranks(data, main_vals, aux_vals)
+    # summed loss of each grid point, indexed (k1, k2, main, aux)
+    losses = np.zeros((len(k1s), len(k2s), len(main_vals), len(aux_vals)))
 
-        def scaled1(k):
-            return _scaled(dx, h1[k])
+    def score_rows(rows):
+        dx, ds = _loo_distances(data, rows)
+        if method == "knn":
+            h1 = {k: _row_bandwidths(dx, k) for k in main_vals}
+            rank = _positive_distances(ds)
+            h2 = {kp: _row_bandwidths(rank, kp, _POSITIVE_SITES) for kp in aux_vals}
+            del rank
 
-        def scaled2(kp):
-            return _scaled(ds, h2[kp])
+            def scaled1(k):
+                return _scaled(dx, h1[k])
 
-    else:
+            def scaled2(kp):
+                return _scaled(ds, h2[kp])
 
-        def scaled1(h):
-            return dx / h
+        else:
 
-        def scaled2(rho):
-            return ds / rho
+            def scaled1(h):
+                return dx / h
 
-    per_kernel = len(main_vals) * dx.nbytes
-    chunk = max(1, _COVARIATE_BLOCK_BYTES // per_kernel)
-    winners = {}
-    weights = np.empty_like(dx)
-    for start in range(0, len(k1s), chunk):
-        block = None  # release the previous chunk's matrices first
-        block = [
-            (k1, main, eval_scalar(k1, scaled1(main)))
-            for k1 in k1s[start : start + chunk]
-            for main in main_vals
-        ]
-        for k2 in k2s:
-            for aux in aux_vals:
-                m2 = eval_scalar(k2, scaled2(aux))
-                for k1, main, m1 in block:
-                    entry = (scorer(np.multiply(m1, m2, out=weights)), main, aux)
-                    winners[k1, k2] = min(winners.get((k1, k2), entry), entry)
-                m2 = None  # released before the next one is built
-    return {(k1, k2): winners[k1, k2] for k1 in k1s for k2 in k2s}
+            def scaled2(rho):
+                return ds / rho
+
+        per_kernel = len(main_vals) * dx.nbytes
+        chunk = max(1, _COVARIATE_BLOCK_BYTES // per_kernel)
+        weights = np.empty_like(dx)
+        for start in range(0, len(k1s), chunk):
+            block = None  # release the previous chunk's matrices first
+            block = [
+                (i1, i_main, eval_scalar(k1s[i1], scaled1(main)))
+                for i1 in range(start, min(start + chunk, len(k1s)))
+                for i_main, main in enumerate(main_vals)
+            ]
+            for i2, k2 in enumerate(k2s):
+                for i_aux, aux in enumerate(aux_vals):
+                    m2 = eval_scalar(k2, scaled2(aux))
+                    for i1, i_main, m1 in block:
+                        loss = scorer(np.multiply(m1, m2, out=weights), rows)
+                        losses[i1, i2, i_main, i_aux] += loss
+                    m2 = None  # released before the next one is built
+
+    n = len(data)
+    for rows in _row_blocks(n, len(main_vals)):
+        score_rows(rows)
+    return {
+        (k1, k2): min(
+            (float(losses[i1, i2, i_main, i_aux]) / n, main, aux)
+            for i_main, main in enumerate(main_vals)
+            for i_aux, aux in enumerate(aux_vals)
+        )
+        for i1, k1 in enumerate(k1s)
+        for i2, k2 in enumerate(k2s)
+    }
 
 
 def _selected(method: str, main, aux, k1: str, k2: str):
@@ -608,20 +703,20 @@ def cv_select(data: SpatialDataset, grid: ParamGrid, method: str = "knn"):
         raise ValueError("cross-validation needs responses")
     y = data.responses
 
-    def by_mae(weights):
-        return float(np.abs(y - _loo_weighted_mean(weights, y)).mean())
+    def by_abs_error(weights, rows):
+        return float(np.abs(y[rows] - _loo_weighted_mean(weights, y, rows)).sum())
 
-    return _best(_grid_search(data, grid, method, by_mae), method)
+    return _best(_grid_search(data, grid, method, by_abs_error), method)
 
 
 def _classification_search(data, grid, method, n_classes) -> dict:
     onehot = _label_onehot(data, n_classes)
     truth = data.labels
 
-    def by_miss(weights):
-        return float(np.mean(_loo_vote(weights, onehot) != truth))
+    def misses(weights, rows):
+        return int(np.count_nonzero(_loo_vote(weights, onehot, rows) != truth[rows]))
 
-    return _grid_search(data, grid, method, by_miss)
+    return _grid_search(data, grid, method, misses)
 
 
 def cv_select_classification(

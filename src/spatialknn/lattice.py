@@ -118,6 +118,17 @@ def distances_between(coords, points) -> np.ndarray:
 
 def pairwise_distances(coords) -> np.ndarray:
     """Dense matrix of Euclidean distances between all rows of ``coords``."""
+    return _distance_rows(coords, slice(None))
+
+
+def _distance_rows(coords, rows: slice) -> np.ndarray:
+    """The ``rows`` of :func:`pairwise_distances`, equal to them bit for bit.
+
+    Lets a caller walk the distance matrix a block of rows at a time
+    without ever holding all of it.
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    diff = coords[rows, None, :] - coords[None, :, :]
+    squared = np.einsum("ijk,ijk->ij", diff, diff)
+    # in place: one (rows, n) array fewer at the peak, the same bits
+    return np.sqrt(squared, out=squared)

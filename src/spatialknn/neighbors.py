@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .lattice import SiteSet, distances_to
 
 
@@ -61,14 +62,21 @@ def check_rank(k: int, available: int, what: str = "points") -> int:
 _POSITIVE_SITES = "positive-distance sites"
 
 
+def _check_rows(available: np.ndarray, k: int, what: str = "points") -> int:
+    """:func:`check_rank` for rows with ``available`` admissible points each.
+
+    The first row with fewer than ``k`` points names the count in the error.
+    """
+    return check_rank(k, int(available[np.argmax(available < int(k))]), what)
+
+
 def _row_bandwidths(dist: np.ndarray, k: int, what: str = "points") -> np.ndarray:
     """k-th smallest distance in each row of an (m, n) block.
 
     Inadmissible points carry distance inf. The first row with fewer
     than ``k`` finite entries raises :func:`check_rank`'s error.
     """
-    available = np.isfinite(dist).sum(axis=1)
-    k = check_rank(k, int(available[np.argmax(available < int(k))]), what)
+    k = _check_rows(np.isfinite(dist).sum(axis=1), k, what)
     # copied out, so the partitioned block is freed at once
     return np.partition(dist, k - 1, axis=1)[:, k - 1].copy()
 
@@ -80,6 +88,14 @@ def _positive_distances(ds: np.ndarray) -> np.ndarray:
     does any site that duplicates it.
     """
     return np.where(ds > 0.0, ds, np.inf)
+
+
+def _finite_query(query, what: str) -> np.ndarray:
+    """``query`` as a flat float array; ``DataError`` if any entry is not finite."""
+    query = np.asarray(query, dtype=float).ravel()
+    if not np.isfinite(query).all():
+        raise DataError(f"{what} must be finite")
+    return query
 
 
 def _exclusion_mask(n: int, exclude) -> np.ndarray:
@@ -100,6 +116,7 @@ def knn_bandwidth(points, query, k: int, exclude=None) -> BandwidthResult:
     ----------
     points : array-like of shape (n, d)
     query : array-like of shape (d,)
+        Must be finite (``DataError`` otherwise).
     k : int
         Neighbour rank, 1-based: ``k=1`` is the nearest point.
     exclude : iterable of int, optional
@@ -108,7 +125,7 @@ def knn_bandwidth(points, query, k: int, exclude=None) -> BandwidthResult:
         duplicates of the query are legitimate neighbours at distance 0.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    dists = distances_to(points, query)
+    dists = distances_to(points, _finite_query(query, "query"))
     dists[_exclusion_mask(len(dists), exclude)] = np.inf
     bandwidth = float(_row_bandwidths(dists[None], k)[0])
     return BandwidthResult(bandwidth, np.flatnonzero(dists <= bandwidth))
@@ -120,11 +137,12 @@ def spatial_bandwidth(sites, s0, k_prime: int, exclude=None) -> BandwidthResult:
     The prediction site never counts as its own neighbour: any site at
     distance exactly 0 from ``s0`` is dropped before ranking, so calling
     this with ``s0`` equal to a member site ranks only the *other* sites.
+    A non-finite ``s0`` raises ``DataError``.
     """
     coords = sites.coords if isinstance(sites, SiteSet) else np.atleast_2d(
         np.asarray(sites, dtype=float)
     )
-    dists = distances_to(coords, s0)
+    dists = distances_to(coords, _finite_query(s0, "query site"))
     dists[_exclusion_mask(len(dists), exclude)] = np.inf
     dists = _positive_distances(dists)
     bandwidth = float(_row_bandwidths(dists[None], k_prime, _POSITIVE_SITES)[0])

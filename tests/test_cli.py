@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spatialknn import evaluation
 from spatialknn.cli import main
 from spatialknn.dataio import CsvSchema, parse_config, read_dataset
 from spatialknn.evaluation import (
@@ -218,6 +219,32 @@ def test_predict_reports_rows_then_mae(tmp_path, capsys):
     ]
     assert lines[-1] == f"mae,,,{err!r}"
     assert f"mae={err!r}" in out_text
+
+
+@pytest.mark.parametrize("method", ["knn", "nw"])
+def test_predict_report_does_not_depend_on_block_rows(tmp_path, capsys, monkeypatch, method):
+    train_path = simulate(tmp_path, "train.csv", seed=3, shape="10x10")
+    target_path = simulate(tmp_path, "target.csv", seed=4, shape="10x10")
+    cfg = write(
+        tmp_path,
+        "pred.cfg",
+        f"[run]\nmode = predict\nmethod = {method}\n\n"
+        f"[data]\npath = {train_path}\ntarget = {target_path}\n"
+        "site_columns = s1, s2\ncovariate_columns = x\nresponse_column = y\n",
+    )
+    train = read_dataset(train_path, SIM_SCHEMA)
+    grid = default_grid(train, method)
+    mains = len(grid.k_values or grid.h_values)
+    reports = []
+    for budget in (evaluation._COVARIATE_BLOCK_BYTES, 8 * len(train) * mains * 5):
+        monkeypatch.setattr(evaluation, "_COVARIATE_BLOCK_BYTES", budget)
+        out = tmp_path / f"pred_{budget}.csv"
+        code, _, err = run(capsys, "predict", "--config", cfg, "--output", str(out))
+        assert code == 0, err
+        reports.append(out.read_bytes())
+    # the second run scored the training sites in 20 blocks of 5 rows
+    assert len(evaluation._row_blocks(len(train), mains)) == 20
+    assert reports[0] == reports[1]
 
 
 def test_predict_missing_target_file(tmp_path, capsys):

@@ -264,6 +264,28 @@ def test_query_dimension_checked():
         predict(data, [0.0, 0.0], [1.0, 2.0, 3.0], KnnParams(k=1, k_prime=1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_query_rejected(bad):
+    # before, a NaN covariate made the knn path raise "no points
+    # available" and the nw path return the fallback silently
+    data = random_dataset(np.random.default_rng(5), n=10, d=1, labels=True, lattice=True)
+    knn, nw = KnnParams(k=3, k_prime=3), NwParams(h=1.0, rho=1.0)
+    calls = [
+        (knn_weights, knn),
+        (predict, knn),
+        (regress, knn),
+        (nw_weights, nw),
+        (predict_nw, nw),
+        *((lambda *a, **kw: class_scores(*a, n_classes=3, **kw), p) for p in (knn, nw)),
+        *((lambda *a, **kw: classify(*a, n_classes=3, **kw), p) for p in (knn, nw)),
+    ]
+    for call, p in calls:
+        with pytest.raises(DataError, match="query covariate must be finite"):
+            call(data, [0.5], [bad], p)
+        with pytest.raises(DataError, match="query site must be finite"):
+            call(data, [bad], [0.5], p)
+
+
 # ---------------------------------------------------------------------------
 # classification
 

@@ -5,6 +5,7 @@ import pytest
 
 from spatialknn.lattice import (
     SiteSet,
+    _distance_rows,
     distances_between,
     distances_to,
     make_lattice,
@@ -153,3 +154,15 @@ def test_pairwise_distances_naive_oracle():
         for j in range(8):
             want = np.sqrt(((coords[i] - coords[j]) ** 2).sum())
             assert abs(d[i, j] - want) < 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_distance_rows_equal_pairwise_rows_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    coords = rng.normal(size=(23, d))
+    coords[5] = coords[17]  # a zero off-diagonal distance
+    whole = pairwise_distances(coords)
+    for rows_per_block in (1, 3, 7, 23):
+        for start in range(0, 23, rows_per_block):
+            rows = slice(start, min(start + rows_per_block, 23))
+            assert _distance_rows(coords, rows).tobytes() == whole[rows].tobytes()

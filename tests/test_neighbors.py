@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spatialknn.errors import DataError
 from spatialknn.lattice import SiteSet, distances_to
 from spatialknn.neighbors import knn_bandwidth, spatial_bandwidth
 
@@ -74,6 +75,15 @@ def test_knn_bandwidth_errors():
         knn_bandwidth(points, [0.0], 1, exclude={0, 1, 2})
     with pytest.raises(ValueError, match="out-of-range"):
         knn_bandwidth(points, [0.0], 1, exclude={7})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_query_rejected(bad):
+    points = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(DataError, match="query must be finite"):
+        knn_bandwidth(points, [0.0, bad], 1)
+    with pytest.raises(DataError, match="query site must be finite"):
+        spatial_bandwidth(points, [bad, 0.0], 1)
 
 
 def test_spatial_bandwidth_drops_zero_distance_sites():
