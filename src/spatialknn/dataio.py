@@ -88,13 +88,19 @@ def _parse_real(cell: str, line: int, column: str) -> float:
     return value
 
 
+_LABEL_RANGE = np.iinfo(np.int64)
+
+
 def _parse_label(cell: str, line: int, column: str) -> int:
     try:
-        return int(cell)
+        value = int(cell)
     except ValueError:
         raise ParseError(
             f"line {line}, column {column!r}: cannot parse {cell!r} as an integer label"
         ) from None
+    if not _LABEL_RANGE.min <= value <= _LABEL_RANGE.max:
+        raise ParseError(f"line {line}, column {column!r}: label {cell!r} is out of range")
+    return value
 
 
 def read_dataset(path, schema: CsvSchema) -> SpatialDataset:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DataError
 from .kernels import eval_scalar, validate_kernel
-from .lattice import SiteSet, distances_to
+from .lattice import SiteSet, _Memo, distances_to
 from .neighbors import (
     _POSITIVE_SITES,
     _exclusion_mask,
@@ -46,7 +46,7 @@ from .neighbors import (
 
 
 @dataclass
-class SpatialDataset:
+class SpatialDataset(_Memo):
     """Sites with covariates and a response and/or class label per site.
 
     Parameters
@@ -67,6 +67,8 @@ class SpatialDataset:
     At least one of ``responses``/``labels`` must be present; covariates
     and responses must be finite (``DataError`` otherwise). All arrays
     are copied and frozen; instances are safe to share across threads.
+    What the evaluation module derives from a small dataset's covariates
+    is kept in a private memo, which rebinding any field drops.
     """
 
     sites: SiteSet
@@ -109,6 +111,10 @@ class SpatialDataset:
             lab = lab.astype(np.int64)
             lab.flags.writeable = False
             self.labels = lab
+
+    def __setattr__(self, name, value):
+        self.__dict__.pop("_memo", None)
+        object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.sites)

@@ -28,10 +28,22 @@ over the blocks, and the search reports the winner of every pair as
 well as the overall one. Held-out test sites are weighted in blocks of
 rows and reduced by the engine's row reducers, so each result equals the
 per-site call bit for bit.
+
+Replications simulate many datasets on one shared lattice, and each is
+tuned by two searches after its default grids. So what depends only on
+the sites (positive-distance neighbour counts, the default rho axis) is
+kept in the :class:`~spatialknn.lattice.SiteSet`'s memo, and a set
+whose default-grid search runs as one row block (627 sites or fewer)
+keeps its whole leave-one-out blocks too: the site distances and each
+k'-th neighbour site bandwidth in the site set's memo, the covariate
+distances in the dataset's, shared by its default nw grid and both
+searches. Kept values are computed exactly as a first call computes
+them, so results keep their bits; a larger set keeps nothing n²-sized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -53,7 +65,7 @@ from .estimator import (
     _weighted_means,
 )
 from .kernels import KERNEL_NAMES, eval_scalar, validate_kernel
-from .lattice import _distance_rows, distances_between
+from .lattice import SiteSet, _distance_rows, distances_between
 from .neighbors import (
     _POSITIVE_SITES,
     _check_rows,
@@ -305,6 +317,43 @@ def _row_blocks(n: int, matrices: int) -> list:
     return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
+def _kept_whole(n: int, rows: slice) -> bool:
+    """Whether ``rows`` are all ``n`` rows of a set whose default-grid
+    search runs as one block (627 sites or fewer).
+
+    Such a set keeps its whole leave-one-out distance blocks, and what
+    derives from them, in its memo; a larger set keeps nothing n²-sized.
+    """
+    return rows == slice(0, n) and len(_row_blocks(n, _GRID_POINTS)) == 1
+
+
+def _loo_rows(owner, coords: np.ndarray, rows: slice, key: str) -> np.ndarray:
+    """Distances from the points in ``rows`` to every point of ``coords``,
+    each point's own column at inf.
+
+    A whole block that :func:`_kept_whole` allows is computed once and
+    kept, read-only, in ``owner``'s memo under ``key``.
+    """
+
+    def block():
+        dist = _distance_rows(coords, rows)
+        own = np.arange(rows.stop - rows.start)
+        dist[own, own + rows.start] = np.inf
+        return dist
+
+    if _kept_whole(len(coords), rows):
+        return owner._memoized(key, block)
+    return block()
+
+
+def _covariate_rows(data: SpatialDataset, rows: slice) -> np.ndarray:
+    return _loo_rows(data, data.covariates, rows, "loo_covariate_distances")
+
+
+def _site_rows(sites: SiteSet, rows: slice) -> np.ndarray:
+    return _loo_rows(sites, sites.coords, rows, "loo_site_distances")
+
+
 # ---------------------------------------------------------------------------
 # parameter grids
 
@@ -365,26 +414,29 @@ def _power_law_grid(n: int, start: float, cap: int) -> tuple:
     return tuple(sorted(vals))
 
 
-def _positive_site_neighbours(data: SpatialDataset) -> np.ndarray:
+def _positive_site_neighbours(sites: SiteSet) -> np.ndarray:
     # A site's spatial bandwidth ranks only the sites at positive
     # distance from it, i.e. every site but its own duplicates.
-    _, inverse, counts = np.unique(
-        data.sites.coords, axis=0, return_inverse=True, return_counts=True
-    )
-    return len(data) - counts[inverse.ravel()]
+    def counts():
+        _, inverse, counts = np.unique(
+            sites.coords, axis=0, return_inverse=True, return_counts=True
+        )
+        return len(sites) - counts[inverse.ravel()]
+
+    return sites._memoized("positive_site_neighbours", counts)
 
 
 _SCALE_POINTS = 6
 
 
-def _positive_pair_distances(coords: np.ndarray) -> np.ndarray:
-    # The positive distances between rows i < j of coords, in row-major
-    # order, gathered a row block at a time: no (n, n) matrix is built.
-    n = len(coords)
+def _positive_pair_distances(n: int, distance_rows) -> np.ndarray:
+    # The positive distances between points i < j, in row-major order,
+    # gathered a row block at a time from distance_rows(rows): no (n, n)
+    # matrix is built unless the set keeps its whole block anyway.
     out = np.empty(n * (n - 1) // 2)
     filled = 0
     for rows in _row_blocks(n, 1):
-        dist = _distance_rows(coords, rows)
+        dist = distance_rows(rows)
         keep = (np.arange(rows.start, rows.stop)[:, None] < np.arange(n)) & (dist > 0.0)
         size = int(np.count_nonzero(keep))
         out[filled : filled + size] = dist[keep]
@@ -392,17 +444,17 @@ def _positive_pair_distances(coords: np.ndarray) -> np.ndarray:
     return out[:filled]
 
 
-def _scale_grid(coords: np.ndarray, what: str) -> tuple:
+def _scale_grid(n: int, distance_rows, what: str) -> tuple:
     # Fixed bandwidths scan the interquartile range of the positive
     # pairwise distances. Deliberately central and coarse: the
     # fixed-bandwidth method smooths at one global scale, and handing it
     # a fine grid reaching into the extreme percentiles would turn it
     # into a differently-tuned estimator, not the comparator.
-    pos = _positive_pair_distances(coords)
+    pos = _positive_pair_distances(n, distance_rows)
     if pos.size == 0:
         raise ValueError(f"all pairwise {what} distances are zero; no bandwidth scale")
-    lo = float(np.percentile(pos, 25.0))
-    hi = float(np.percentile(pos, 75.0))
+    # one selection for both quartiles, the same bits as two calls
+    lo, hi = (float(v) for v in np.percentile(pos, [25.0, 75.0]))
     if hi <= lo:
         return (hi,)
     return tuple(float(v) for v in np.geomspace(lo, hi, _SCALE_POINTS))
@@ -418,22 +470,30 @@ def default_grid(data: SpatialDataset, method: str) -> ParamGrid:
     geometrically. Site-neighbour counts stop at the smallest number of
     sites at positive distance from any one site, so duplicated sites
     cannot make the default grid infeasible.
+
+    What depends only on the sites (the neighbour counts and the rho
+    axis) is computed once per :class:`~spatialknn.lattice.SiteSet`; a
+    small dataset's covariate distances are computed once and shared
+    with its leave-one-out searches.
     """
     _check_method(method)
     n = len(data)
     if n < 2:
         raise ValueError("need at least 2 sites to build a grid")
     if method == "knn":
-        k_prime_cap = int(_positive_site_neighbours(data).min())
+        k_prime_cap = int(_positive_site_neighbours(data.sites).min())
         if k_prime_cap < 1:
             raise ValueError("all sites coincide; no site has a positive-distance neighbour")
         return ParamGrid(
             k_values=_power_law_grid(n, _GAMMA_START_K, n - 1),
             k_prime_values=_power_law_grid(n, _GAMMA_START_KPRIME, k_prime_cap),
         )
+    site_rows = functools.partial(_site_rows, data.sites)
     return ParamGrid(
-        h_values=_scale_grid(data.covariates, "covariate"),
-        rho_values=_scale_grid(data.sites.coords, "site"),
+        h_values=_scale_grid(n, functools.partial(_covariate_rows, data), "covariate"),
+        rho_values=data.sites._memoized(
+            "rho_values", lambda: _scale_grid(n, site_rows, "site")
+        ),
     )
 
 
@@ -461,13 +521,27 @@ def _complete_grid(grid: ParamGrid | None, data: SpatialDataset, method: str) ->
 
 def _loo_distances(data: SpatialDataset, rows: slice):
     """Covariate and site distances from the sites in ``rows`` to every
-    site, each site's own column at distance inf."""
-    dx = _distance_rows(data.covariates, rows)
-    ds = _distance_rows(data.sites.coords, rows)
-    own = np.arange(rows.stop - rows.start)
-    dx[own, own + rows.start] = np.inf
-    ds[own, own + rows.start] = np.inf
-    return dx, ds
+    site, each site's own column at distance inf (read-only when kept)."""
+    return _covariate_rows(data, rows), _site_rows(data.sites, rows)
+
+
+def _site_bandwidths(sites: SiteSet, ds: np.ndarray, rows: slice, k_primes) -> dict:
+    """Each row's k'-th positive-distance site bandwidth, for every k'.
+
+    One partition per k'; for a whole block that :func:`_kept_whole`
+    allows, each k' is partitioned once per site set and kept.
+    """
+    rank = functools.cache(lambda: _positive_distances(ds))
+
+    def bandwidths(k_prime):
+        return _row_bandwidths(rank(), k_prime, _POSITIVE_SITES)
+
+    if not _kept_whole(len(sites), rows):
+        return {kp: bandwidths(kp) for kp in k_primes}
+    return {
+        kp: sites._memoized(("site_bandwidths", kp), lambda: bandwidths(kp))
+        for kp in k_primes
+    }
 
 
 def _check_loo_ranks(data: SpatialDataset, ks, k_primes) -> None:
@@ -479,7 +553,7 @@ def _check_loo_ranks(data: SpatialDataset, ks, k_primes) -> None:
     """
     for k in ks:
         check_rank(k, len(data) - 1)
-    available = _positive_site_neighbours(data)
+    available = _positive_site_neighbours(data.sites)
     for k_prime in k_primes:
         _check_rows(available, k_prime, _POSITIVE_SITES)
 
@@ -603,7 +677,9 @@ def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> 
     search would raise them. The sites are scored in row blocks, sized
     so that one covariate kernel's matrices fit in
     ``_COVARIATE_BLOCK_BYTES``. Within a block, the distances and
-    bandwidth vectors are computed once; the scaled distances are rebuilt
+    bandwidth vectors are computed once (for a set scored as one block,
+    the distances once per dataset and the site distances and site
+    bandwidths once per site set); the scaled distances are rebuilt
     from the bandwidths when a kernel needs them. Covariate kernels are
     taken in chunks of as many as fit in the budget (at least one):
     every covariate-kernel matrix is evaluated once per block, and every
@@ -623,9 +699,7 @@ def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> 
         dx, ds = _loo_distances(data, rows)
         if method == "knn":
             h1 = {k: _row_bandwidths(dx, k) for k in main_vals}
-            rank = _positive_distances(ds)
-            h2 = {kp: _row_bandwidths(rank, kp, _POSITIVE_SITES) for kp in aux_vals}
-            del rank
+            h2 = _site_bandwidths(data.sites, ds, rows, aux_vals)
 
             def scaled1(k):
                 return _scaled(dx, h1[k])
@@ -902,15 +976,17 @@ def benchmark_replications(
     ]
     if n_jobs is None:
         n_jobs = os.cpu_count() or 1
+    # no more workers than replications: a fork pool starts all of them
+    n_jobs = min(int(n_jobs), n_reps)
     pairs = [None] * n_reps
-    if int(n_jobs) <= 1:
+    if n_jobs <= 1:
         for r, args in enumerate(arglist):
             try:
                 pairs[r] = _benchmark_one(*args)
             except Exception as exc:
                 raise _with_replication(r, exc) from exc
     else:
-        with ProcessPoolExecutor(max_workers=int(n_jobs)) as pool:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             futures = [pool.submit(_benchmark_one, *args) for args in arglist]
             for r, future in enumerate(futures):
                 try:

@@ -4,12 +4,21 @@ Sites live in ``R^N`` and are either nodes of a regular lattice, stored
 with normalized coordinates ``(i_1/n_1, ..., i_N/n_N)``, or irregular
 points (e.g. survey stations with raw longitude/latitude). Both are held
 in a :class:`SiteSet`; all distances are Euclidean.
+
+A :class:`SiteSet` is immutable, so what depends only on its sites (the
+evaluation module's neighbour counts, default site-bandwidth grid and,
+for a small set, leave-one-out site distances) is computed once and kept
+with it in a private, read-only memo that is never pickled or copied.
+:func:`make_lattice` hands out one shared :class:`SiteSet` per shape,
+keeping the last one built, so the datasets simulated on one lattice
+share that memo and a process holds at most one lattice's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,8 +29,29 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return out
 
 
+class _Memo:
+    """A private memo of values derived from an object's own arrays.
+
+    Each value is computed on first use and kept, read-only, for as long
+    as the object lives. It is never pickled or copied: an unpickled or
+    copied object starts with an empty memo.
+    """
+
+    def _memoized(self, key, compute):
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            value = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            memo[key] = value
+        return memo[key]
+
+    def __getstate__(self):
+        return {name: v for name, v in self.__dict__.items() if name != "_memo"}
+
+
 @dataclass(frozen=True)
-class SiteSet:
+class SiteSet(_Memo):
     """Ordered collection of site coordinates.
 
     Parameters
@@ -71,6 +101,8 @@ def make_lattice(shape) -> SiteSet:
     Site ``(i_1, ..., i_N)`` with ``1 <= i_r <= n_r`` is stored as
     ``(i_1/n_1, ..., i_N/n_N)``, so every coordinate lies in ``(0, 1]``.
     Sites are emitted in row-major order (last index varies fastest).
+    Calls with the same shape return the same immutable :class:`SiteSet`
+    until another shape is asked for.
 
     Parameters
     ----------
@@ -80,6 +112,13 @@ def make_lattice(shape) -> SiteSet:
     shape = tuple(int(n) for n in shape)
     if not shape or any(n < 1 for n in shape):
         raise ValueError(f"lattice dimensions must be positive integers, got {shape}")
+    return _lattice(shape)
+
+
+# One entry: the replications of a benchmark cell share their lattice and
+# its memo, and the cache never keeps a second lattice's memo alive.
+@lru_cache(maxsize=1)
+def _lattice(shape: tuple[int, ...]) -> SiteSet:
     axes = [np.arange(1, n + 1, dtype=float) / n for n in shape]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)

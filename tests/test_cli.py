@@ -303,6 +303,17 @@ def test_classify_table_layout_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_classify_label_out_of_int64_range_is_a_data_error(tmp_path, capsys):
+    rows = open(presence_file(tmp_path)).read().splitlines()
+    cells = rows[5].split(",")
+    cells[3] = "10000000000000000000000000"
+    rows[5] = ",".join(cells)
+    data = write(tmp_path, "huge.csv", "\n".join(rows) + "\n")
+    code, _, err = run(capsys, "classify", "--config", classify_config(tmp_path, data))
+    assert code == 2
+    assert "line 6, column 'p'" in err and "out of range" in err
+
+
 def test_classify_all_singleton_classes(tmp_path, capsys):
     data = write(
         tmp_path, "tiny.csv", "s1,s2,x,p\n0.0,0.0,1.0,1\n1.0,0.0,2.0,2\n0.0,1.0,3.0,3\n"
@@ -373,6 +384,25 @@ def test_benchmark_byte_identical_across_thread_counts(tmp_path, capsys, monkeyp
     blobs = [p.read_bytes() for p in outs]
     assert blobs[0] == blobs[1] == blobs[2]
     assert b"degenerate" not in blobs[0]
+
+
+def test_benchmark_default_grids_byte_identical_across_thread_counts(tmp_path, capsys):
+    # default grids use every kept value: neighbour counts, the rho axis,
+    # the site distances and bandwidths of the lattice a worker reuses
+    cfg = write(
+        tmp_path,
+        "bench.cfg",
+        "[run]\nmode = benchmark\nseed = 2\n\n"
+        "[simulation]\nshapes = 10x10, 9x8\na_values = 5.0\nsigma_values = 0.1\nn_reps = 4\n",
+    )
+    outs = [tmp_path / f"b{i}.csv" for i in range(2)]
+    for threads, out in zip(("1", "2"), outs):
+        code, _, _ = run(
+            capsys, "benchmark", "--config", cfg, "--output", str(out), "--threads", threads
+        )
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 3
 
 
 def test_benchmark_degenerate_cell_reported(tmp_path, capsys):
