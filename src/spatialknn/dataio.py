@@ -2,15 +2,17 @@
 
 File conventions: RFC-4180-style CSV with a header row; one data row
 per site, row order defining the site index order. Floats are written
-with ``repr`` (shortest round-trip decimal), so write-then-read is an
-identity up to 1 ulp and report files are byte-stable for fixed inputs.
+with ``repr`` (shortest round-trip decimal), so write-then-read returns
+every finite float bit for bit and report files are byte-stable for
+fixed inputs.
 Binary presence/absence labels may be coded 0/1 in files; they are
 mapped onto internal classes {1, 2} (class 2 = presence) and the
 original codes are kept on the dataset so reports can translate back.
 
 Configuration files are flat ``key = value`` text (configparser
 syntax) with sections [run], [simulation], [data], [grid], [output].
-Unknown sections or keys are rejected by name.
+Unknown sections or keys are rejected by name. Each key is declared
+once, in ``_KEYS``, which parsing and the --print-config echo read.
 """
 
 from __future__ import annotations
@@ -115,7 +117,7 @@ def read_dataset(path, schema: CsvSchema) -> SpatialDataset:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh, delimiter=schema.delimiter))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file (no header row)")
@@ -124,6 +126,8 @@ def read_dataset(path, schema: CsvSchema) -> SpatialDataset:
     for name in schema.column_names():
         if name not in header:
             raise SchemaError(f"{path}: missing column {name!r} (header: {header})")
+        if header.count(name) > 1:
+            raise SchemaError(f"{path}: column {name!r} appears twice in the header")
         positions[name] = header.index(name)
 
     def column(name, parser, as_type):
@@ -166,10 +170,17 @@ def read_dataset(path, schema: CsvSchema) -> SpatialDataset:
     )
 
 
-def _format_value(value) -> str:
+def _report_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return repr(float(value))
+    value = float(value)
+    if math.isnan(value):
+        return ""
+    return repr(value)
 
 
 def write_dataset(data: SpatialDataset, path, schema: CsvSchema) -> None:
@@ -195,25 +206,28 @@ def write_dataset(data: SpatialDataset, path, schema: CsvSchema) -> None:
         )
     rows = []
     for i in range(len(data)):
-        row = [_format_value(v) for v in data.sites.coords[i]]
-        row += [_format_value(v) for v in data.covariates[i]]
+        row = [*data.sites.coords[i], *data.covariates[i]]
         if schema.response_column is not None:
-            row.append(_format_value(data.responses[i]))
+            row.append(data.responses[i])
         if schema.label_column is not None:
             lab = int(data.labels[i])
-            if data.label_values is not None:
-                lab = data.label_values[lab - 1]
-            row.append(str(lab))
-        rows.append(row)
-    _write_csv(path, schema.column_names(), rows, schema.delimiter)
+            row.append(lab if data.label_values is None else data.label_values[lab - 1])
+        rows.append([_report_cell(v) for v in row])
+    _write_text(path, _csv_text(schema.column_names(), rows, schema.delimiter))
 
 
-def _write_csv(path, header, rows, delimiter=","):
+def _csv_text(header, rows, delimiter=",") -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, delimiter=delimiter, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_text(path, text) -> None:
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
@@ -229,39 +243,23 @@ def load_survey() -> SpatialDataset:
 # reports
 
 
-def _report_cell(value, none_as: str = "") -> str:
-    if value is None:
-        return none_as
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    value = float(value)
-    if math.isnan(value):
-        return ""
-    return repr(value)
-
-
 def _eval_report_rows(report: EvalReport):
     if not report.per_replication_metric:
         raise ValueError("empty replication list")
-    rows = [
-        (f"metric_{i}", _report_cell(v))
-        for i, v in enumerate(report.per_replication_metric)
-    ]
+    rows = [(f"metric_{i}", v) for i, v in enumerate(report.per_replication_metric)]
     rows += [
-        ("mean", _report_cell(report.mean)),
-        ("sd", _report_cell(report.sd)),
-        ("t_stat", _report_cell(report.t_stat)),
-        ("p_value", _report_cell(report.p_value)),
+        ("mean", report.mean),
+        ("sd", report.sd),
+        ("t_stat", report.t_stat),
+        ("p_value", report.p_value),
     ]
     return ("record", "value"), rows
 
 
 def _ccr_report_rows(report: CcrReport):
-    rows = [("all", str(sum(report.counts)), _report_cell(report.overall))]
+    rows = [("all", sum(report.counts), report.overall)]
     for j, (rate, count) in enumerate(zip(report.per_class, report.counts), start=1):
-        rows.append((f"class_{j}", str(count), _report_cell(rate)))
+        rows.append((f"class_{j}", count, rate))
     return ("group", "count", "rate"), rows
 
 
@@ -284,19 +282,10 @@ def _benchmark_rows(cells):
     for cell in cells:
         shape = "x".join(str(int(v)) for v in cell.shape)
         r = cell.result
+        test = ["degenerate" if v is None else v for v in (r.t_stat, r.p_value)]
         rows.append(
-            (
-                shape,
-                _report_cell(cell.sigma),
-                _report_cell(cell.a),
-                str(cell.n_reps),
-                _report_cell(r.knn.mean),
-                _report_cell(r.knn.sd),
-                _report_cell(r.nw.mean),
-                _report_cell(r.nw.sd),
-                _report_cell(r.t_stat, none_as="degenerate"),
-                _report_cell(r.p_value, none_as="degenerate"),
-            )
+            (shape, cell.sigma, cell.a, cell.n_reps)
+            + (r.knn.mean, r.knn.sd, r.nw.mean, r.nw.sd, *test)
         )
     return BENCHMARK_COLUMNS, rows
 
@@ -312,31 +301,22 @@ def report_lines(report) -> list:
     elif isinstance(report, CcrReport):
         header, rows = _ccr_report_rows(report)
     elif isinstance(report, tuple) and len(report) == 2:
-        header, raw = report
-        rows = [tuple(_report_cell(v) for v in row) for row in raw]
+        header, rows = report
     elif isinstance(report, (list, tuple)) and all(
         isinstance(c, BenchmarkCell) for c in report
     ):
         header, rows = _benchmark_rows(report)
     else:
         raise TypeError(f"unsupported report type: {type(report).__name__}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().splitlines()
+    cells = [[_report_cell(v) for v in row] for row in rows]
+    return _csv_text(header, cells).splitlines()
 
 
 def write_report(report, path, format: str = "csv") -> None:
     """Serialize a report; see :func:`report_lines` for accepted shapes."""
     if format != "csv":
         raise ConfigError(f"unsupported report format {format!r} (only csv)")
-    lines = report_lines(report)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    _write_text(path, "\n".join(report_lines(report)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -376,47 +356,132 @@ def _cfg_error(section, key, message) -> ConfigError:
     return ConfigError(f"[{section}] {key}: {message}")
 
 
-def _as_int(section, key, raw) -> int:
+def _as_int(raw) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise _cfg_error(section, key, f"expected an integer, got {raw!r}") from None
+        raise ValueError(f"expected an integer, got {raw!r}") from None
 
 
-def _as_real(section, key, raw) -> float:
+def _as_count(raw) -> int:
+    if (value := _as_int(raw)) < 1:
+        raise ValueError("must be >= 1")
+    return value
+
+
+def _as_real(raw) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise _cfg_error(section, key, f"expected a number, got {raw!r}") from None
+        raise ValueError(f"expected a number, got {raw!r}") from None
 
 
-def _split_list(raw) -> list:
-    return [tok for tok in raw.replace(",", " ").split() if tok]
-
-
-def _as_shape(section, key, raw) -> tuple:
+def _as_shape(raw) -> tuple:
     parts = raw.lower().split("x")
     if len(parts) != 2:
-        raise _cfg_error(section, key, f"expected N1xN2 (e.g. 25x25), got {raw!r}")
-    return tuple(_as_int(section, key, p) for p in parts)
+        raise ValueError(f"expected N1xN2 (e.g. 25x25), got {raw!r}")
+    return tuple(_as_int(p) for p in parts)
 
 
-_KNOWN_KEYS = {
-    "run": ("mode", "seed", "threads", "method"),
-    "simulation": ("shape", "a", "sigma", "shapes", "a_values", "sigma_values", "n_reps"),
-    "data": (
-        "path",
-        "target",
-        "site_columns",
-        "covariate_columns",
-        "response_column",
-        "label_column",
-        "delimiter",
-        "train_fraction",
-    ),
-    "grid": ("k_values", "k_prime_values", "h_values", "rho_values", "k1", "k2"),
-    "output": ("path", "format"),
-}
+def _one_of(allowed, expected):
+    def parse(raw):
+        if raw not in allowed:
+            raise ValueError(f"{expected}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+def _list_of(parse_item):
+    return lambda raw: tuple(parse_item(tok) for tok in raw.replace(",", " ").split())
+
+
+def _shape_text(shape) -> str:
+    return "%dx%d" % shape
+
+
+def _joined(show_item):
+    return lambda values: ", ".join(show_item(v) for v in values)
+
+
+@dataclass(frozen=True)
+class _Key:
+    """One ``[section] name`` of a config file and the field it sets.
+
+    ``parse(text)`` reads the value or raises ValueError with the reason,
+    to which parse_config adds the key; ``show(value)`` writes it back.
+    :func:`format_config` leaves out None and ``implied``, the value an
+    absent key means. ``part`` is None for a field of ExperimentConfig
+    itself, else the config field holding the object the key fills in
+    (``schema``: a :class:`CsvSchema`, ``grid``: a :class:`ParamGrid`).
+    """
+
+    section: str
+    name: str
+    parse: object
+    show: object
+    field: str | None = None  # defaults to ``name``
+    part: str | None = None
+    implied: object = None
+    required: bool = False  # must be given when its part is described
+    describes: bool = True  # given alone, describes its part
+
+    @property
+    def attr(self) -> str:
+        return self.field or self.name
+
+
+_STRS, _INTS, _REALS = _list_of(str), _list_of(_as_int), _list_of(_as_real)
+_MODE = _Key("run", "mode", _one_of(_MODES, f"expected one of {_MODES}"), str)
+
+#: Every config key, in file order; sections in order of first appearance.
+_KEYS = (
+    _MODE,
+    _Key("run", "seed", _as_int, str),
+    _Key("run", "threads", _as_count, str),
+    _Key("run", "method", _one_of(("knn", "nw"), "expected knn or nw"), str),
+    _Key("simulation", "shape", _as_shape, _shape_text),
+    _Key("simulation", "a", _as_real, repr),
+    _Key("simulation", "sigma", _as_real, repr),
+    _Key("simulation", "shapes", _list_of(_as_shape), _joined(_shape_text)),
+    _Key("simulation", "a_values", _REALS, _joined(repr)),
+    _Key("simulation", "sigma_values", _REALS, _joined(repr)),
+    _Key("simulation", "n_reps", _as_int, str),
+    _Key("data", "path", str, str, "data_path"),
+    _Key("data", "target", str, str, "target_path"),
+    _Key("data", "site_columns", _STRS, _joined(str), part="schema", required=True),
+    _Key("data", "covariate_columns", _STRS, _joined(str), part="schema", required=True),
+    _Key("data", "response_column", str, str, part="schema"),
+    _Key("data", "label_column", str, str, part="schema"),
+    _Key("data", "delimiter", str, str, part="schema", implied=",", describes=False),
+    _Key("data", "train_fraction", _as_real, repr),
+    _Key("grid", "k_values", _INTS, _joined(str), part="grid", implied=()),
+    _Key("grid", "k_prime_values", _INTS, _joined(str), part="grid", implied=()),
+    _Key("grid", "h_values", _REALS, _joined(repr), part="grid", implied=()),
+    _Key("grid", "rho_values", _REALS, _joined(repr), part="grid", implied=()),
+    _Key("grid", "k1", _STRS, _joined(str), "k1_specs", part="grid"),
+    _Key("grid", "k2", _STRS, _joined(str), "k2_specs", part="grid"),
+    _Key("output", "path", str, str, "output_path"),
+    _Key("output", "format", _one_of(("csv",), "only csv is supported"), str, "output_format"),
+)
+_SECTIONS = {k.section: [j for j in _KEYS if j.section == k.section] for k in _KEYS}
+_KNOWN_KEYS = {section: tuple(k.name for k in keys) for section, keys in _SECTIONS.items()}
+#: The objects a section's keys can describe: class and error prefix.
+_PARTS = {"schema": (CsvSchema, "bad schema"), "grid": (ParamGrid, "invalid")}
+
+
+def _build_part(part, section, keys, given):
+    described = [k for k in keys if k.part == part]
+    if not any(k.describes and k in given for k in described):
+        return None
+    for k in described:
+        if k.required and k not in given:
+            raise _cfg_error(section, k.name, "required when describing a dataset file")
+    cls, prefix = _PARTS[part]
+    try:
+        return cls(**{k.attr: given[k] for k in described if k in given})
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {prefix}: {exc}") from exc
 
 
 def parse_config(path, check_required: bool = True) -> ExperimentConfig:
@@ -447,99 +512,26 @@ def parse_config(path, check_required: bool = True) -> ExperimentConfig:
                     f"unknown key {key!r} in [{section}] (expected one of "
                     f"{', '.join(_KNOWN_KEYS[section])})"
                 )
+    if parser.get(_MODE.section, _MODE.name, fallback=None) is None:
+        raise ConfigError(f"[{_MODE.section}] {_MODE.name} is required")
 
-    def get(section, key, default=None):
-        return parser.get(section, key, fallback=default)
-
-    mode = get("run", "mode")
-    if mode is None:
-        raise ConfigError("[run] mode is required")
-    if mode not in _MODES:
-        raise _cfg_error("run", "mode", f"expected one of {_MODES}, got {mode!r}")
-    cfg = ExperimentConfig(mode=mode)
-
-    if get("run", "seed") is not None:
-        cfg.seed = _as_int("run", "seed", get("run", "seed"))
-    if get("run", "threads") is not None:
-        cfg.threads = _as_int("run", "threads", get("run", "threads"))
-        if cfg.threads < 1:
-            raise _cfg_error("run", "threads", "must be >= 1")
-    if get("run", "method") is not None:
-        cfg.method = get("run", "method")
-        if cfg.method not in ("knn", "nw"):
-            raise _cfg_error("run", "method", f"expected knn or nw, got {cfg.method!r}")
-
-    sim = "simulation"
-    if get(sim, "shape") is not None:
-        cfg.shape = _as_shape(sim, "shape", get(sim, "shape"))
-    if get(sim, "a") is not None:
-        cfg.a = _as_real(sim, "a", get(sim, "a"))
-    if get(sim, "sigma") is not None:
-        cfg.sigma = _as_real(sim, "sigma", get(sim, "sigma"))
-    if get(sim, "shapes") is not None:
-        cfg.shapes = tuple(
-            _as_shape(sim, "shapes", tok) for tok in _split_list(get(sim, "shapes"))
-        )
-    if get(sim, "a_values") is not None:
-        cfg.a_values = tuple(
-            _as_real(sim, "a_values", tok) for tok in _split_list(get(sim, "a_values"))
-        )
-    if get(sim, "sigma_values") is not None:
-        cfg.sigma_values = tuple(
-            _as_real(sim, "sigma_values", tok)
-            for tok in _split_list(get(sim, "sigma_values"))
-        )
-    if get(sim, "n_reps") is not None:
-        cfg.n_reps = _as_int(sim, "n_reps", get(sim, "n_reps"))
-
-    cfg.data_path = get("data", "path")
-    cfg.target_path = get("data", "target")
-    if get("data", "train_fraction") is not None:
-        cfg.train_fraction = _as_real(
-            "data", "train_fraction", get("data", "train_fraction")
-        )
-    schema_keys = ("site_columns", "covariate_columns", "response_column", "label_column")
-    if any(get("data", k) is not None for k in schema_keys):
-        for k in ("site_columns", "covariate_columns"):
-            if get("data", k) is None:
-                raise _cfg_error("data", k, "required when describing a dataset file")
-        try:
-            cfg.schema = CsvSchema(
-                site_columns=tuple(_split_list(get("data", "site_columns"))),
-                covariate_columns=tuple(_split_list(get("data", "covariate_columns"))),
-                response_column=get("data", "response_column"),
-                label_column=get("data", "label_column"),
-                delimiter=get("data", "delimiter", ","),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[data] bad schema: {exc}") from exc
-
-    grid_keys = _KNOWN_KEYS["grid"]
-    if any(get("grid", k) is not None for k in grid_keys):
-        kwargs = {}
-        for key, attr in (("k_values", "k_values"), ("k_prime_values", "k_prime_values")):
-            if get("grid", key) is not None:
-                kwargs[attr] = tuple(
-                    _as_int("grid", key, tok) for tok in _split_list(get("grid", key))
-                )
-        for key, attr in (("h_values", "h_values"), ("rho_values", "rho_values")):
-            if get("grid", key) is not None:
-                kwargs[attr] = tuple(
-                    _as_real("grid", key, tok) for tok in _split_list(get("grid", key))
-                )
-        for key, attr in (("k1", "k1_specs"), ("k2", "k2_specs")):
-            if get("grid", key) is not None:
-                kwargs[attr] = tuple(_split_list(get("grid", key)))
-        try:
-            cfg.grid = ParamGrid(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(f"[grid] invalid: {exc}") from exc
-
-    cfg.output_path = get("output", "path")
-    cfg.output_format = get("output", "format", "csv")
-    if cfg.output_format != "csv":
-        raise _cfg_error("output", "format", f"only csv is supported, got {cfg.output_format!r}")
-
+    # Section by section in table order, each section's objects built
+    # before the next section is read: a file with several errors
+    # always reports the first in that order.
+    fields = {}
+    for section, keys in _SECTIONS.items():
+        given = {}
+        for key in keys:
+            raw = parser.get(section, key.name, fallback=None)
+            if raw is not None:
+                try:
+                    given[key] = key.parse(raw)
+                except ValueError as exc:
+                    raise _cfg_error(section, key.name, exc) from None
+        fields.update((k.attr, v) for k, v in given.items() if k.part is None)
+        for part in _PARTS.keys() & {k.part for k in keys}:
+            fields[part] = _build_part(part, section, keys, given)
+    cfg = ExperimentConfig(**fields)
     if check_required:
         validate_config(cfg)
     return cfg
@@ -608,64 +600,14 @@ def format_config(cfg: ExperimentConfig) -> str:
     ``parse_config`` of the result reproduces the config; defaults are
     written out explicitly.
     """
-    out = ["[run]", f"mode = {cfg.mode}"]
-    if cfg.seed is not None:
-        out.append(f"seed = {cfg.seed}")
-    if cfg.threads is not None:
-        out.append(f"threads = {cfg.threads}")
-    out.append(f"method = {cfg.method}")
-
-    sim = []
-    if cfg.shape is not None:
-        sim.append("shape = %dx%d" % cfg.shape)
-    if cfg.a is not None:
-        sim.append(f"a = {cfg.a!r}")
-    if cfg.sigma is not None:
-        sim.append(f"sigma = {cfg.sigma!r}")
-    if cfg.shapes is not None:
-        sim.append("shapes = " + ", ".join("%dx%d" % s for s in cfg.shapes))
-    if cfg.a_values is not None:
-        sim.append("a_values = " + ", ".join(repr(v) for v in cfg.a_values))
-    if cfg.sigma_values is not None:
-        sim.append("sigma_values = " + ", ".join(repr(v) for v in cfg.sigma_values))
-    sim.append(f"n_reps = {cfg.n_reps}")
-    if sim:
-        out += ["", "[simulation]"] + sim
-
-    dat = []
-    if cfg.data_path is not None:
-        dat.append(f"path = {cfg.data_path}")
-    if cfg.target_path is not None:
-        dat.append(f"target = {cfg.target_path}")
-    if cfg.schema is not None:
-        dat.append("site_columns = " + ", ".join(cfg.schema.site_columns))
-        dat.append("covariate_columns = " + ", ".join(cfg.schema.covariate_columns))
-        if cfg.schema.response_column is not None:
-            dat.append(f"response_column = {cfg.schema.response_column}")
-        if cfg.schema.label_column is not None:
-            dat.append(f"label_column = {cfg.schema.label_column}")
-        if cfg.schema.delimiter != ",":
-            dat.append(f"delimiter = {cfg.schema.delimiter}")
-    dat.append(f"train_fraction = {cfg.train_fraction!r}")
-    if dat:
-        out += ["", "[data]"] + dat
-
-    if cfg.grid is not None:
-        out += ["", "[grid]"]
-        g = cfg.grid
-        if g.k_values:
-            out.append("k_values = " + ", ".join(str(v) for v in g.k_values))
-        if g.k_prime_values:
-            out.append("k_prime_values = " + ", ".join(str(v) for v in g.k_prime_values))
-        if g.h_values:
-            out.append("h_values = " + ", ".join(repr(v) for v in g.h_values))
-        if g.rho_values:
-            out.append("rho_values = " + ", ".join(repr(v) for v in g.rho_values))
-        out.append("k1 = " + ", ".join(g.k1_specs))
-        out.append("k2 = " + ", ".join(g.k2_specs))
-
-    out += ["", "[output]"]
-    if cfg.output_path is not None:
-        out.append(f"path = {cfg.output_path}")
-    out.append(f"format = {cfg.output_format}")
-    return "\n".join(out) + "\n"
+    out = []
+    for section, keys in _SECTIONS.items():
+        lines = []
+        for key in keys:
+            holder = cfg if key.part is None else getattr(cfg, key.part)
+            value = None if holder is None else getattr(holder, key.attr)
+            if value is not None and value != key.implied:
+                lines.append(f"{key.name} = {key.show(value)}")
+        if lines:
+            out += ["", f"[{section}]"] + lines
+    return "\n".join(out[1:]) + "\n"

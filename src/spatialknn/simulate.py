@@ -18,8 +18,10 @@ presence labels) for exercising the classification workflow.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -101,18 +103,46 @@ def gaussian_cov(h, variance: float, scale: float) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=4)
+#: The dense n x n arrays kept between draws, least recently used first.
+#: One dataset uses four: its lattice's distances and the factors of its
+#: three fields (gen_dataset). The four most recent always stay, so
+#: datasets of one shape and sigma hit on every lookup. Older arrays
+#: stay only while all kept fit in the budget: a recent small lattice
+#: still hits, and large lattices are held one at a time.
+_DENSE = OrderedDict()
+_DENSE_LOCK = threading.RLock()  # reentrant: a factor's miss looks up distances
+_DENSE_KEPT = 4
+_DENSE_BUDGET_BYTES = 64 * 2**20
+
+
+def _dense_cached(fn):
+    @wraps(fn)
+    def cached(*args):
+        key = (fn, *args)
+        with _DENSE_LOCK:
+            if key in _DENSE:
+                _DENSE.move_to_end(key)
+                return _DENSE[key]
+            value = _DENSE[key] = fn(*args)
+            value.flags.writeable = False
+            held = sum(a.nbytes for a in _DENSE.values())
+            while len(_DENSE) > _DENSE_KEPT and held > _DENSE_BUDGET_BYTES:
+                held -= _DENSE.popitem(last=False)[1].nbytes
+            return value
+
+    return cached
+
+
+@_dense_cached
 def _grid_distance_matrix(shape: tuple[int, ...]) -> np.ndarray:
     # Raw integer positions 1..n_r per axis, row-major like make_lattice.
     axes = [np.arange(1, n + 1, dtype=float) for n in shape]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.ravel() for m in mesh], axis=-1)
-    d = pairwise_distances(coords)
-    d.flags.writeable = False
-    return d
+    return pairwise_distances(coords)
 
 
-@lru_cache(maxsize=8)
+@_dense_cached
 def _covariance_factor(shape: tuple[int, ...], variance: float, scale: float) -> np.ndarray:
     dist = _grid_distance_matrix(shape)
     cov = variance * np.exp(-((dist / scale) ** 2))
@@ -120,11 +150,9 @@ def _covariance_factor(shape: tuple[int, ...], variance: float, scale: float) ->
     for jitter in _JITTERS:
         mat = cov if jitter == 0.0 else cov + jitter * np.eye(n)
         try:
-            factor = np.linalg.cholesky(mat)
+            return np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             continue
-        factor.flags.writeable = False
-        return factor
     raise NumericalError(
         f"covariance factorization failed for shape={shape}, "
         f"variance={variance}, scale={scale} despite jitter up to {_JITTERS[-1]}"

@@ -6,7 +6,9 @@ its field and dependence-surface ingredients when the regime indicator
 is pinned.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,3 +223,28 @@ def test_survey_dataset_frozen_properties():
     again = survey_dataset()
     np.testing.assert_array_equal(data.covariates, again.covariates)
     np.testing.assert_array_equal(data.labels, again.labels)
+
+
+def test_dense_caches_hold_one_datasets_arrays_after_a_shape_change():
+    shapes = ((45, 45), (44, 44), (43, 43))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for shape in shapes:
+            gen_dataset(DgpParams(shape=shape, a=5.0, sigma=2.0, seed=0))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    largest = 8 * math.prod(shapes[0]) ** 2
+    assert held <= 4 * largest
+
+
+def test_dense_caches_hit_on_every_draw_of_one_shape_and_sigma(monkeypatch):
+    calls = []
+    factorize = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda m: calls.append(m.shape) or factorize(m))
+    for seed in range(3):  # a shape no other test draws, so the first draw misses
+        gen_dataset(DgpParams(shape=(9, 11), a=5.0, sigma=2.0, seed=seed))
+    assert calls == [(99, 99)] * 3
