@@ -17,7 +17,6 @@ from spatialknn import (
     knn_bandwidth,
     knn_weights,
     predict,
-    predict_nw,
     spatial_bandwidth,
 )
 
@@ -54,7 +53,7 @@ print(f"true regression value x^2 = {x0[0] ** 2:.4f}")
 # the fixed-bandwidth counterpart needs the radii spelled out
 fixed = NwParams(h=hb.bandwidth, rho=sb.bandwidth, k1="epanechnikov", k2="parzen")
 print(f"fixed-bandwidth prediction with the same radii: "
-      f"{predict_nw(data, s0, x0, fixed):.4f} (identical weights by construction)")
+      f"{predict(data, s0, x0, fixed):.4f} (identical weights by construction)")
 
 # with k = 1 and a compact covariate kernel the single nearest
 # covariate sits exactly on the support boundary, where epanechnikov

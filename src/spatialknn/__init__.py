@@ -11,6 +11,8 @@ field simulation, a replication benchmark, CSV plumbing, and a command
 line (``spatialknn``).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ConfigError,
     DataError,
@@ -24,12 +26,10 @@ from .estimator import (
     NwParams,
     SpatialDataset,
     WeightVector,
-    class_scores,
     classify,
     knn_weights,
     nw_weights,
     predict,
-    predict_nw,
     regress,
 )
 from .evaluation import (
@@ -46,10 +46,8 @@ from .evaluation import (
     default_grid,
     holdout_labels,
     holdout_predictions,
-    loo_ccr,
     loo_labels,
     loo_predictions,
-    loo_score,
     mae,
     paired_ttest,
     stratified_split,
@@ -65,8 +63,8 @@ from .dataio import (
     write_dataset,
     write_report,
 )
-from .kernels import KERNEL_INTEGRALS, KERNEL_NAMES, eval_radial, eval_scalar
-from .lattice import SiteSet, make_lattice, pairwise_distances, site_distance
+from .kernels import KERNEL_NAMES, eval_scalar
+from .lattice import SiteSet, make_lattice, pairwise_distances
 from .neighbors import BandwidthResult, knn_bandwidth, spatial_bandwidth
 from .simulate import (
     DgpParams,
@@ -75,74 +73,13 @@ from .simulate import (
     gen_dataset,
     local_dependence_field,
     sample_grf,
-    survey_dataset,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BandwidthResult",
-    "BenchmarkCell",
-    "BenchmarkResult",
-    "CcrReport",
-    "ConfigError",
-    "CsvSchema",
-    "DataError",
-    "DegenerateInputError",
-    "DgpParams",
-    "EvalReport",
-    "ExperimentConfig",
-    "FieldParams",
-    "KERNEL_INTEGRALS",
-    "KERNEL_NAMES",
-    "KnnParams",
-    "NumericalError",
-    "NwParams",
-    "ParamGrid",
-    "ParseError",
-    "SchemaError",
-    "SiteSet",
-    "SpatialDataset",
-    "WeightVector",
-    "benchmark_replications",
-    "ccr",
-    "class_scores",
-    "classify",
-    "cv_select",
-    "cv_select_classification",
-    "cv_select_classification_pairs",
-    "default_grid",
-    "eval_radial",
-    "eval_scalar",
-    "gaussian_cov",
-    "gen_dataset",
-    "holdout_labels",
-    "holdout_predictions",
-    "knn_bandwidth",
-    "knn_weights",
-    "load_survey",
-    "local_dependence_field",
-    "loo_ccr",
-    "loo_labels",
-    "loo_predictions",
-    "loo_score",
-    "mae",
-    "make_lattice",
-    "nw_weights",
-    "paired_ttest",
-    "pairwise_distances",
-    "parse_config",
-    "predict",
-    "predict_nw",
-    "read_dataset",
-    "regress",
-    "sample_grf",
-    "site_distance",
-    "spatial_bandwidth",
-    "stratified_split",
-    "student_t_sf",
-    "survey_dataset",
-    "survey_schema",
-    "write_dataset",
-    "write_report",
-]
+#: The names imported above; the submodules they come from are not listed.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

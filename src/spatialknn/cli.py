@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .dataio import (
     CsvSchema,
@@ -50,15 +50,6 @@ from .kernels import KERNEL_NAMES
 from .simulate import DgpParams, gen_dataset
 
 THREADS_ENV = "SPATIALKNN_THREADS"
-
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    """What a subcommand produced: exit code, summary, report location."""
-
-    exit_code: int
-    summary: str
-    report_path: str | None = None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,14 +136,13 @@ def _progress(message: str) -> None:
     print(message, file=sys.stderr, flush=True)
 
 
-def _emit(report, cfg: ExperimentConfig) -> str | None:
+def _emit(report, cfg: ExperimentConfig) -> None:
     """Write the report to the output path, or print it to stdout."""
     if cfg.output_path is not None:
         write_report(report, cfg.output_path, cfg.output_format)
-        return cfg.output_path
-    for line in report_lines(report):
-        print(line)
-    return None
+    else:
+        for line in report_lines(report):
+            print(line)
 
 
 _SIM_SCHEMA = CsvSchema(
@@ -160,16 +150,14 @@ _SIM_SCHEMA = CsvSchema(
 )
 
 
-def cmd_simulate(cfg: ExperimentConfig) -> CommandOutcome:
+def cmd_simulate(cfg: ExperimentConfig) -> str:
     seed = 0 if cfg.seed is None else cfg.seed
     data = gen_dataset(DgpParams(shape=cfg.shape, a=cfg.a, sigma=cfg.sigma, seed=seed))
     schema = cfg.schema if cfg.schema is not None else _SIM_SCHEMA
     write_dataset(data, cfg.output_path, schema)
-    return CommandOutcome(
-        0,
+    return (
         f"wrote {len(data)} sites ({cfg.shape[0]}x{cfg.shape[1]}, seed {seed}) "
-        f"to {cfg.output_path}",
-        cfg.output_path,
+        f"to {cfg.output_path}"
     )
 
 
@@ -194,17 +182,15 @@ def _describe(params) -> str:
     return f"k={params.k} k_prime={params.k_prime} k1={params.k1} k2={params.k2}"
 
 
-def cmd_cv(cfg: ExperimentConfig) -> CommandOutcome:
+def cmd_cv(cfg: ExperimentConfig) -> str:
     data = read_dataset(cfg.data_path, cfg.schema)
     grid = _complete_grid(cfg.grid, data, cfg.method)
     params, score = cv_select(data, grid, cfg.method)
-    path = _emit((_CV_HEADER, [_params_row(params, score)]), cfg)
-    return CommandOutcome(
-        0, f"{cfg.method}: {_describe(params)} loo_mae={score!r}", path
-    )
+    _emit((_CV_HEADER, [_params_row(params, score)]), cfg)
+    return f"{cfg.method}: {_describe(params)} loo_mae={score!r}"
 
 
-def cmd_predict(cfg: ExperimentConfig) -> CommandOutcome:
+def cmd_predict(cfg: ExperimentConfig) -> str:
     train = read_dataset(cfg.data_path, cfg.schema)
     target = read_dataset(cfg.target_path, cfg.schema)
     grid = _complete_grid(cfg.grid, train, cfg.method)
@@ -218,10 +204,8 @@ def cmd_predict(cfg: ExperimentConfig) -> CommandOutcome:
         for i in range(len(target))
     ]
     rows.append(("mae",) + ("",) * (len(header) - 2) + (err,))
-    path = _emit((header, rows), cfg)
-    return CommandOutcome(
-        0, f"predicted {len(target)} sites, mae={err!r} ({cfg.method})", path
-    )
+    _emit((header, rows), cfg)
+    return f"predicted {len(target)} sites, mae={err!r} ({cfg.method})"
 
 
 def _class_columns(data):
@@ -236,7 +220,7 @@ def _class_columns(data):
     return tuple((f"class_{j}", j) for j in range(1, data.n_classes + 1))
 
 
-def cmd_classify(cfg: ExperimentConfig) -> CommandOutcome:
+def cmd_classify(cfg: ExperimentConfig) -> str:
     data = read_dataset(cfg.data_path, cfg.schema)
     if data.labels is None:
         raise DataError("classification needs a label column")
@@ -274,16 +258,14 @@ def cmd_classify(cfg: ExperimentConfig) -> CommandOutcome:
                 if method == "knn" and (best is None or report.overall > best[0]):
                     best = (report.overall, k1, k2)
             rows.append(tuple(row))
-    path = _emit((header, rows), cfg)
-    return CommandOutcome(
-        0,
+    _emit((header, rows), cfg)
+    return (
         f"classified {len(test)} held-out sites over {len(rows)} kernel pairs; "
-        f"best knn pair {best[1]}*{best[2]} ccr={best[0]!r}",
-        path,
+        f"best knn pair {best[1]}*{best[2]} ccr={best[0]!r}"
     )
 
 
-def cmd_benchmark(cfg: ExperimentConfig) -> CommandOutcome:
+def cmd_benchmark(cfg: ExperimentConfig) -> str:
     jobs = _threads(cfg)
     cells = []
     designs = [
@@ -310,12 +292,8 @@ def cmd_benchmark(cfg: ExperimentConfig) -> CommandOutcome:
         cells.append(
             BenchmarkCell(shape=shape, sigma=sigma, a=a, n_reps=cfg.n_reps, result=result)
         )
-    path = _emit(cells, cfg)
-    return CommandOutcome(
-        0,
-        f"benchmarked {len(cells)} cells x {cfg.n_reps} replications (seed {cfg.seed})",
-        path,
-    )
+    _emit(cells, cfg)
+    return f"benchmarked {len(cells)} cells x {cfg.n_reps} replications (seed {cfg.seed})"
 
 
 _COMMANDS = {
@@ -341,10 +319,8 @@ def main(argv=None) -> int:
         if args.print_config:
             sys.stdout.write(format_config(cfg))
             return 0
-        outcome = _COMMANDS[cfg.mode](cfg)
-        if outcome.summary:
-            print(outcome.summary)
-        return outcome.exit_code
+        print(_COMMANDS[cfg.mode](cfg))
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

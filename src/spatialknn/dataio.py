@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, SchemaError
 from .estimator import SpatialDataset
-from .evaluation import BenchmarkCell, CcrReport, EvalReport, ParamGrid
+from .evaluation import BenchmarkCell, ParamGrid
 from .lattice import SiteSet
 
 _MODES = ("simulate", "cv", "predict", "classify", "benchmark")
@@ -243,26 +243,6 @@ def load_survey() -> SpatialDataset:
 # reports
 
 
-def _eval_report_rows(report: EvalReport):
-    if not report.per_replication_metric:
-        raise ValueError("empty replication list")
-    rows = [(f"metric_{i}", v) for i, v in enumerate(report.per_replication_metric)]
-    rows += [
-        ("mean", report.mean),
-        ("sd", report.sd),
-        ("t_stat", report.t_stat),
-        ("p_value", report.p_value),
-    ]
-    return ("record", "value"), rows
-
-
-def _ccr_report_rows(report: CcrReport):
-    rows = [("all", sum(report.counts), report.overall)]
-    for j, (rate, count) in enumerate(zip(report.per_class, report.counts), start=1):
-        rows.append((f"class_{j}", count, rate))
-    return ("group", "count", "rate"), rows
-
-
 BENCHMARK_COLUMNS = (
     "shape",
     "sigma",
@@ -293,19 +273,15 @@ def _benchmark_rows(cells):
 def report_lines(report) -> list:
     """CSV lines (no trailing newline) for any supported report shape.
 
-    Accepts an :class:`EvalReport`, a :class:`CcrReport`, a sequence of
-    :class:`BenchmarkCell`, or a generic ``(header, rows)`` pair.
+    Accepts a ``(header, rows)`` pair or a sequence of
+    :class:`BenchmarkCell`.
     """
-    if isinstance(report, EvalReport):
-        header, rows = _eval_report_rows(report)
-    elif isinstance(report, CcrReport):
-        header, rows = _ccr_report_rows(report)
-    elif isinstance(report, tuple) and len(report) == 2:
-        header, rows = report
-    elif isinstance(report, (list, tuple)) and all(
+    if isinstance(report, (list, tuple)) and all(
         isinstance(c, BenchmarkCell) for c in report
     ):
         header, rows = _benchmark_rows(report)
+    elif isinstance(report, tuple) and len(report) == 2:
+        header, rows = report
     else:
         raise TypeError(f"unsupported report type: {type(report).__name__}")
     cells = [[_report_cell(v) for v in row] for row in rows]
@@ -589,6 +565,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
                     getattr(cfg, singular) is None,
                     f"give either [simulation] {singular} or {plural}, not both",
                 )
+                _require(getattr(cfg, plural), f"[simulation] {plural} lists no values")
         _require(cfg.n_reps >= 2, "benchmark needs n_reps >= 2")
         _require(cfg.seed is not None, "benchmark needs a seed (config [run] seed or --seed)")
     return cfg

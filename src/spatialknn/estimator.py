@@ -4,8 +4,9 @@ Every estimator here weights observation ``i`` by the product of two
 kernels: one applied radially to the covariate difference, scaled by a
 data-driven bandwidth (the distance to the k-th nearest covariate), and
 one applied to the site distance, scaled by the distance to the k'-th
-nearest site. The fixed-bandwidth variant (:func:`predict_nw`) replaces
-both data-driven scales with constants ``h`` and ``rho``.
+nearest site. The fixed-bandwidth variant (:class:`NwParams`, accepted
+wherever :class:`KnnParams` is) replaces both data-driven scales with
+constants ``h`` and ``rho``.
 
 On top of the weights sit a regression predictor (weighted mean of the
 responses, falling back to the empirical mean when every weight
@@ -310,13 +311,15 @@ def knn_weights(
     return WeightVector(raw[0], bool(_normalize(raw)[0]))
 
 
-def predict(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
+def predict(data: SpatialDataset, s0, x, p, exclude=None) -> float:
     """Predict the response at site ``s0`` with observed covariate ``x``.
 
-    Weighted mean of the observed responses under :func:`knn_weights`;
-    when every weight vanishes (compact kernels and ``x`` or ``s0`` far
-    from all data) the prediction is the empirical mean of the
-    non-excluded responses.
+    Weighted mean of the observed responses under :func:`knn_weights`
+    for :class:`KnnParams`, or under :func:`nw_weights` for
+    :class:`NwParams` (the fixed-bandwidth comparator). When every
+    weight vanishes (compact kernels and ``x`` or ``s0`` far from all
+    data) the prediction is the empirical mean of the non-excluded
+    responses.
     """
     if data.responses is None:
         raise ValueError("dataset has no responses to predict from")
@@ -334,15 +337,6 @@ def nw_weights(
     """
     raw, _ = _query_weights(data, s0, x, p, exclude)
     return WeightVector(raw[0], bool(_normalize(raw)[0]))
-
-
-def predict_nw(data: SpatialDataset, s0, x, p: NwParams, exclude=None) -> float:
-    """Fixed-bandwidth comparator for :func:`predict`.
-
-    Same ratio estimator with non-random scales ``h`` (covariates) and
-    ``rho`` (site distances); same empirical-mean fallback.
-    """
-    return predict(data, s0, x, p, exclude=exclude)
 
 
 def regress(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
@@ -384,30 +378,17 @@ def _check_labels(data: SpatialDataset, n_classes: int) -> np.ndarray:
     return data.labels
 
 
-def class_scores(
-    data: SpatialDataset, s0, x, p, n_classes: int, exclude=None
-) -> np.ndarray:
-    """Per-class vote totals at ``(s0, x)``.
-
-    Entry ``j-1`` is the summed weight of the sites labelled ``j``; with
-    normalized weights the scores sum to 1. All-zero weights yield
-    all-zero scores. ``p`` may be :class:`KnnParams` or :class:`NwParams`;
-    the vote uses the matching weight scheme.
-    """
-    labels = _check_labels(data, n_classes)
-    raw, _ = _query_weights(data, s0, x, p, exclude)
-    _normalize(raw)
-    return np.bincount(labels - 1, weights=raw[0], minlength=int(n_classes))
-
-
 def classify(
     data: SpatialDataset, s0, x, p, n_classes: int, exclude=None
 ) -> int:
     """Predicted class at ``(s0, x)``: the label with the largest score.
 
-    Ties break toward the smallest label. When every weight vanishes the
-    vote is empty and the majority class of the (non-excluded) training
-    labels is returned, ties again toward the smallest label.
+    A label's score is the summed normalized weight of the sites that
+    carry it; ``p`` may be :class:`KnnParams` or :class:`NwParams`, and
+    the vote uses the matching weights. Ties break toward the smallest
+    label. When every weight vanishes the vote is empty and the majority
+    class of the (non-excluded) training labels is returned, ties again
+    toward the smallest label.
     """
     labels = _check_labels(data, n_classes)
     raw, keep = _query_weights(data, s0, x, p, exclude)

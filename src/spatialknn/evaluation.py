@@ -609,16 +609,6 @@ def loo_predictions(data: SpatialDataset, params) -> np.ndarray:
     return out
 
 
-def loo_score(data: SpatialDataset, params, method: str | None = None) -> float:
-    """MAE of the leave-one-out predictions under ``params``."""
-    if method is not None:
-        _check_method(method)
-        want = NwParams if method == "nw" else KnnParams
-        if not isinstance(params, want):
-            raise ValueError(f"method {method!r} needs {want.__name__}")
-    return mae(data.responses, loo_predictions(data, params))
-
-
 def _label_onehot(data: SpatialDataset, n_classes) -> np.ndarray:
     if data.labels is None:
         raise ValueError("leave-one-out classification needs labels")
@@ -641,12 +631,6 @@ def loo_labels(data: SpatialDataset, params, n_classes=None) -> np.ndarray:
     for rows, weights in _loo_weights(data, params):
         out[rows] = _loo_vote(weights, onehot, rows)
     return out
-
-
-def loo_ccr(data: SpatialDataset, params, n_classes=None) -> CcrReport:
-    """Correct-classification rates of the leave-one-out labels."""
-    m = int(n_classes) if n_classes is not None else data.n_classes
-    return ccr(data.labels, loo_labels(data, params, m), m)
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +838,8 @@ def _holdout_blocks(train: SpatialDataset, test: SpatialDataset, params):
 def holdout_predictions(train: SpatialDataset, test: SpatialDataset, params) -> np.ndarray:
     """Predict the response at every test site from the training data.
 
-    Equals per-site :func:`~spatialknn.estimator.predict` (or
-    :func:`~spatialknn.estimator.predict_nw` for :class:`NwParams`)
-    calls bit for bit.
+    Equals per-site :func:`~spatialknn.estimator.predict` calls bit for
+    bit, for :class:`KnnParams` and :class:`NwParams` alike.
     """
     if train.responses is None:
         raise ValueError("dataset has no responses to predict from")
@@ -893,16 +876,14 @@ class EvalReport:
     per_replication_metric: tuple
     mean: float
     sd: float
-    t_stat: float | None = None
-    p_value: float | None = None
 
     @classmethod
-    def from_values(cls, values, t_stat=None, p_value=None) -> "EvalReport":
+    def from_values(cls, values) -> "EvalReport":
         v = np.asarray(values, dtype=float).ravel()
         if v.size == 0:
             raise ValueError("empty metric sequence")
         sd = float(v.std(ddof=1)) if v.size > 1 else 0.0
-        return cls(tuple(float(x) for x in v), float(v.mean()), sd, t_stat, p_value)
+        return cls(tuple(float(x) for x in v), float(v.mean()), sd)
 
 
 @dataclass(frozen=True)

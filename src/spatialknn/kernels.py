@@ -1,15 +1,15 @@
 """Univariate kernel catalog.
 
-The same six shapes serve both smoothing roles: applied radially to
-covariate differences (via :func:`eval_radial`) and directly to scalar
-site distances (via :func:`eval_scalar`). Support is *closed*: compact
-kernels are positive up to and including ``|u| = 1``, so an indicator
-kernel paired with a k-th-neighbour bandwidth keeps exactly the k
-nearest points. Kernels are not normalized to unit mass; every estimator
-in this package is a ratio in which the constant cancels.
+The same six shapes serve both smoothing roles: :func:`eval_scalar`
+takes a covariate distance or a site distance over its bandwidth.
+Support is *closed*: compact kernels are positive up to and including
+``|u| = 1``, so an indicator kernel paired with a k-th-neighbour
+bandwidth keeps exactly the k nearest points. Kernels are not
+normalized to unit mass; every estimator in this package is a ratio in
+which the constant cancels.
 
-All evaluators accept scalars or arrays and tolerate ``inf`` arguments
-(which land outside every support and yield 0).
+:func:`eval_scalar` accepts scalars or arrays and tolerates ``inf``
+arguments (which land outside every support and yield 0).
 """
 
 from __future__ import annotations
@@ -88,16 +88,6 @@ _KERNELS = {
     "triangular": _triangular,
 }
 
-#: Mass of each kernel on the real line (closed forms, for checks).
-KERNEL_INTEGRALS = {
-    "biweight": 1.0,
-    "epanechnikov": 1.0,
-    "gaussian": float(np.sqrt(2.0 * np.pi)),
-    "indicator": 2.0,
-    "parzen": 0.75,
-    "triangular": 1.0,
-}
-
 
 def validate_kernel(name: str) -> str:
     """Return ``name`` if it is a catalog kernel, else raise ``ValueError``."""
@@ -122,15 +112,3 @@ def eval_scalar(name: str, u):
     out = fn(u[None] if scalar else u)
     return float(out[0]) if scalar else out
 
-
-def eval_radial(name: str, v):
-    """Evaluate kernel ``name`` radially at vector argument(s) ``v``.
-
-    ``v`` is a single d-vector or an array of them (last axis = d); the
-    kernel is applied to the Euclidean norm, so for d = 1 this equals
-    :func:`eval_scalar` at ``|v|``.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0:
-        v = v[None]
-    return eval_scalar(name, np.linalg.norm(v, axis=-1))

@@ -125,15 +125,6 @@ def _lattice(shape: tuple[int, ...]) -> SiteSet:
     return SiteSet(coords, shape=shape)
 
 
-def site_distance(a, b) -> float:
-    """Euclidean distance between two sites of equal dimension."""
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(np.linalg.norm(a - b))
-
-
 def distances_to(coords, point) -> np.ndarray:
     """Euclidean distances from one point to each row of ``coords``."""
     return distances_between(coords, np.asarray(point, dtype=float).ravel())[0]

@@ -10,9 +10,7 @@ Responses are the squared covariate plus a small correlated noise field.
 Gaussian random fields use a squared-exponential covariance over *raw*
 integer grid positions (the scale parameter is in index units) and are
 drawn by dense Cholesky factorization, which caps supported grids at
-4096 sites. A separate generator fabricates an irregular survey-style
-dataset (coastal stations, four environmental covariates, binary
-presence labels) for exercising the classification workflow.
+4096 sites.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .estimator import SpatialDataset
-from .lattice import SiteSet, make_lattice, pairwise_distances
+from .lattice import make_lattice, pairwise_distances
 
 MAX_DENSE_SITES = 4096
 
@@ -228,41 +226,3 @@ def gen_dataset(params: DgpParams, mixture_indicator=None) -> SpatialDataset:
     y = x**2 + noise
     return SpatialDataset(sites=make_lattice(shape), covariates=x, responses=y)
 
-
-def survey_dataset(n_stations: int = 495, seed: int = 20240913) -> SpatialDataset:
-    """Irregular coastal-survey stand-in for classification runs.
-
-    Stations are scattered over a west-African-style longitude/latitude
-    box with four smooth environmental covariates (bottom/surface
-    temperature and salinity, each with station-level noise). Binary
-    presence labels follow a logistic rule that favours warm bottom
-    water in the south, so the classes are spatially clustered yet
-    noisily overlapping. Labels are classes {1, 2} with original codes
-    (0, 1) recorded, class 2 = presence.
-    """
-    rng = np.random.default_rng(seed)
-    n = int(n_stations)
-    lon = rng.uniform(-17.6, -16.2, n)
-    lat = rng.uniform(12.3, 14.8, n)
-    sbt = (
-        16.0
-        + 3.0 * np.cos(2.0 * (lat - 12.0))
-        + 1.5 * (lon + 17.0)
-        + 0.3 * rng.standard_normal(n)
-    )
-    sst = sbt + 6.0 + 1.2 * np.sin(1.5 * (lon + 17.0)) + 0.4 * rng.standard_normal(n)
-    sbs = 35.2 + 0.6 * np.sin(1.8 * lat) + 0.2 * rng.standard_normal(n)
-    sss = 34.6 + 0.5 * np.cos(2.4 * (lon + 17.0)) + 0.25 * rng.standard_normal(n)
-    score = (
-        1.3 * (sbt - 16.0)
-        - 1.6 * (lat - 13.5)
-        + 0.8 * np.sin(4.0 * (lon + 17.0))
-        - 1.2
-    )
-    presence = rng.random(n) < 1.0 / (1.0 + np.exp(-score))
-    return SpatialDataset(
-        sites=SiteSet(np.column_stack([lon, lat])),
-        covariates=np.column_stack([sbt, sst, sbs, sss]),
-        labels=presence.astype(np.int64) + 1,
-        label_values=(0, 1),
-    )

@@ -26,13 +26,13 @@ from spatialknn import evaluation
 from spatialknn.estimator import KnnParams, NwParams, SpatialDataset, classify, predict
 from spatialknn.evaluation import (
     ParamGrid,
+    ccr,
     cv_select,
     cv_select_classification_pairs,
     default_grid,
-    loo_ccr,
     loo_labels,
     loo_predictions,
-    loo_score,
+    mae,
 )
 from spatialknn.kernels import KERNEL_NAMES
 from spatialknn.lattice import SiteSet, make_lattice, pairwise_distances
@@ -85,8 +85,11 @@ def whole_scores(data, grid, method):
         for k1, k2, main, aux in itertools.product(grid.k1_specs, grid.k2_specs, mains, auxes)
     ]
     return (
-        {p: loo_score(data, p) for p in points},
-        {p: 1.0 - loo_ccr(data, p, N_CLASSES).overall for p in points},
+        {p: mae(data.responses, loo_predictions(data, p)) for p in points},
+        {
+            p: 1.0 - ccr(data.labels, loo_labels(data, p, N_CLASSES), N_CLASSES).overall
+            for p in points
+        },
     )
 
 

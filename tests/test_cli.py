@@ -5,6 +5,7 @@ files live in tmp_path. Oracles recompute the reports with direct
 library calls on the same files.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -433,6 +434,25 @@ def test_threads_env_validation(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SPATIALKNN_THREADS", "0")
     code, _, err = run(capsys, "benchmark", "--config", cfg)
     assert code == 1 and ">= 1" in err
+
+
+@pytest.mark.parametrize("key", ["shapes", "a_values", "sigma_values"])
+def test_benchmark_empty_list_key_is_a_config_error(tmp_path, capsys, key):
+    # an empty list would run zero cells and write a header-only report
+    text = re.sub(rf"^{key} = .*$", f"{key} =", BENCH_CFG, flags=re.M)
+    cfg = write(tmp_path, "bench.cfg", text)
+    out = tmp_path / "bench.csv"
+    code, stdout, err = run(capsys, "benchmark", "--config", cfg, "--output", str(out))
+    assert code == 1
+    assert err == f"error: [simulation] {key} lists no values\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_benchmark_empty_grid_axis_means_default(tmp_path, capsys):
+    cfg = write(tmp_path, "bench.cfg", BENCH_CFG.replace("k_values = 4", "k_values ="))
+    code, stdout, err = run(capsys, "benchmark", "--config", cfg, "--print-config")
+    assert code == 0, err
+    assert "k_values" not in stdout and "k_prime_values = 5" in stdout
 
 
 # ---------------------------------------------------------------------------

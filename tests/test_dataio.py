@@ -1,5 +1,7 @@
 """File format tests: dataset CSV, report serialization, run configs."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -212,32 +214,6 @@ def test_bundled_survey():
 # reports
 
 
-def test_eval_report_lines():
-    report = EvalReport.from_values([0.25, 0.75])
-    lines = report_lines(report)
-    assert lines == [
-        "record,value",
-        "metric_0,0.25",
-        "metric_1,0.75",
-        "mean,0.5",
-        f"sd,{report.sd!r}",
-        "t_stat,",
-        "p_value,",
-    ]
-
-
-def test_ccr_report_lines_and_nan_rate():
-    report = ccr([2, 2, 1, 1], [2, 1, 1, 1], 2)
-    assert report_lines(report) == [
-        "group,count,rate",
-        "all,4,0.75",
-        "class_1,2,1.0",
-        "class_2,2,0.5",
-    ]
-    absent = ccr([1, 1], [1, 1], 2)
-    assert report_lines(absent)[-1] == "class_2,0,"
-
-
 def fake_cell(t_stat, p_value):
     knn = EvalReport.from_values([0.25, 0.5])
     nw = EvalReport.from_values([0.5, 1.0])
@@ -253,20 +229,25 @@ def test_benchmark_report_lines():
     assert first[4] == "0.375" and first[6] == "0.75"
     assert first[8:] == ["2.5", "0.125"]
     assert lines[2].split(",")[8:] == ["degenerate", "degenerate"]
+    # a pair of cells is cells, not a (header, rows) pair
+    assert report_lines((fake_cell(2.5, 0.125), fake_cell(None, None))) == lines
 
 
 def test_generic_report_pair():
-    lines = report_lines((("a", "b"), [(1, 2.5), ("x", None)]))
-    assert lines == ["a,b", "1,2.5", "x,"]
+    # a rate of an absent class is nan, written as an empty cell
+    lines = report_lines((("a", "b"), [(1, 2.5), ("x", None), ("y", math.nan)]))
+    assert lines == ["a,b", "1,2.5", "x,", "y,"]
 
 
 def test_report_lines_rejects_unknown():
-    with pytest.raises(TypeError, match="unsupported report"):
-        report_lines({"not": "a report"})
+    # no command writes a lone replication or classification-rate report
+    for report in ({"not": "a report"}, EvalReport.from_values([1.0]), ccr([1, 2], [1, 1], 2)):
+        with pytest.raises(TypeError, match="unsupported report"):
+            report_lines(report)
 
 
 def test_write_report_roundtrip_and_stability(tmp_path):
-    report = ccr([1, 2, 1, 2, 2], [1, 2, 2, 2, 2], 2)
+    report = (("group", "rate"), [("all", 0.8), ("class_1", 2 / 3), ("class_2", math.nan)])
     p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     write_report(report, p1)
     write_report(report, p2)
@@ -276,7 +257,7 @@ def test_write_report_roundtrip_and_stability(tmp_path):
 
 
 def test_write_report_format_and_io_errors(tmp_path):
-    report = EvalReport.from_values([1.0])
+    report = (("a",), [(1.0,)])
     with pytest.raises(ConfigError, match="only csv"):
         write_report(report, tmp_path / "r.json", format="json")
     with pytest.raises(DataError, match="cannot write"):

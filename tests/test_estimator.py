@@ -13,12 +13,10 @@ from spatialknn.estimator import (
     KnnParams,
     NwParams,
     SpatialDataset,
-    class_scores,
     classify,
     knn_weights,
     nw_weights,
     predict,
-    predict_nw,
     regress,
 )
 from spatialknn.kernels import KERNEL_NAMES, eval_scalar
@@ -228,7 +226,7 @@ def test_nw_equals_knn_when_bandwidths_match():
         if H == 0.0:
             continue
         q = NwParams(h=H, rho=h, k1=p.k1, k2=p.k2)
-        assert predict_nw(data, s0, x, q) == pytest.approx(
+        assert predict(data, s0, x, q) == pytest.approx(
             predict(data, s0, x, p), abs=1e-12
         )
 
@@ -240,7 +238,7 @@ def test_predict_nw_fallback():
         responses=np.array([2.0, 4.0]),
     )
     p = NwParams(h=0.1, rho=0.1, k1="indicator", k2="indicator")
-    assert predict_nw(data, [50.0], [0.0], p) == 3.0
+    assert predict(data, [50.0], [0.0], p) == 3.0
 
 
 def test_predict_requires_responses():
@@ -252,7 +250,7 @@ def test_predict_requires_responses():
     with pytest.raises(ValueError, match="responses"):
         predict(data, [0.5], [0.5], KnnParams(k=1, k_prime=1))
     with pytest.raises(ValueError, match="responses"):
-        predict_nw(data, [0.5], [0.5], NwParams(h=1.0, rho=1.0))
+        predict(data, [0.5], [0.5], NwParams(h=1.0, rho=1.0))
     with pytest.raises(ValueError, match="responses"):
         regress(data, [0.5], [0.5], KnnParams(k=1, k_prime=1))
 
@@ -275,8 +273,7 @@ def test_nonfinite_query_rejected(bad):
         (predict, knn),
         (regress, knn),
         (nw_weights, nw),
-        (predict_nw, nw),
-        *((lambda *a, **kw: class_scores(*a, n_classes=3, **kw), p) for p in (knn, nw)),
+        (predict, nw),
         *((lambda *a, **kw: classify(*a, n_classes=3, **kw), p) for p in (knn, nw)),
     ]
     for call, p in calls:
@@ -299,6 +296,12 @@ def labelled_line(labels, covariates=None):
     )
 
 
+def class_scores(data, s0, x, p, n_classes):
+    """Per-class vote totals: the summed normalized weight of each label."""
+    w = (nw_weights if isinstance(p, NwParams) else knn_weights)(data, s0, x, p)
+    return np.bincount(data.labels - 1, weights=w.weights, minlength=n_classes)
+
+
 def test_class_scores_are_grouped_weight_sums():
     rng = np.random.default_rng(606)
     for p in (
@@ -314,6 +317,8 @@ def test_class_scores_are_grouped_weight_sums():
                 float(w.weights[data.labels == j].sum()), abs=1e-14
             )
         assert scores.sum() == pytest.approx(1.0, abs=1e-12)
+        # gaussian kernels give every site weight: the vote is the top score
+        assert classify(data, s0, x, p, 3) == np.argmax(scores) + 1
 
 
 def test_classify_majority_of_neighbors():
@@ -355,18 +360,18 @@ def test_classify_respects_exclusion():
     assert classify(data, [0.75], [0.0], p, 2, exclude={0}) == 2
 
 
-def test_class_scores_validation():
+def test_classify_validation():
     data = labelled_line([1, 2, 3])
     p = KnnParams(k=1, k_prime=1)
     with pytest.raises(DataError, match="outside"):
-        class_scores(data, [0.5], [0.0], p, 2)
+        classify(data, [0.5], [0.0], p, 2)
     with pytest.raises(ValueError, match=">= 1"):
-        class_scores(data, [0.5], [0.0], p, 0)
+        classify(data, [0.5], [0.0], p, 0)
     unlabelled = SpatialDataset(
         sites=data.sites, covariates=data.covariates, responses=np.zeros(3)
     )
     with pytest.raises(ValueError, match="labels"):
-        class_scores(unlabelled, [0.5], [0.0], p, 2)
+        classify(unlabelled, [0.5], [0.0], p, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,12 @@ from spatialknn.estimator import (
     KnnParams,
     NwParams,
     SpatialDataset,
-    class_scores,
     classify,
     knn_weights,
     nw_weights,
     predict,
-    predict_nw,
 )
 from spatialknn.evaluation import (
-    CcrReport,
     EvalReport,
     ParamGrid,
     benchmark_replications,
@@ -40,10 +37,8 @@ from spatialknn.evaluation import (
     default_grid,
     holdout_labels,
     holdout_predictions,
-    loo_ccr,
     loo_labels,
     loo_predictions,
-    loo_score,
     mae,
     paired_ttest,
     regularized_incomplete_beta,
@@ -390,7 +385,7 @@ def test_loo_predictions_match_per_site_nw():
         )
         got = loo_predictions(data, p)
         want = [
-            predict_nw(data, data.sites.coords[i], data.covariates[i], p, exclude={i})
+            predict(data, data.sites.coords[i], data.covariates[i], p, exclude={i})
             for i in range(len(data))
         ]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -421,7 +416,7 @@ def test_loo_two_site_indicator_example():
     )
     p = KnnParams(k=1, k_prime=1, k1="indicator", k2="indicator")
     np.testing.assert_array_equal(loo_predictions(data, p), [10.0, 2.0])
-    assert loo_score(data, p) == 8.0
+    assert mae(data.responses, loo_predictions(data, p)) == 8.0
 
 
 def test_loo_constant_responses_score_zero():
@@ -431,18 +426,7 @@ def test_loo_constant_responses_score_zero():
         covariates=rng.normal(size=8),
         responses=np.full(8, 2.5),
     )
-    assert loo_score(data, KnnParams(k=2, k_prime=2)) == 0.0
-
-
-def test_loo_score_method_consistency():
-    rng = np.random.default_rng(7)
-    data = random_dataset(rng, n=8)
-    with pytest.raises(ValueError, match="KnnParams"):
-        loo_score(data, NwParams(h=1.0, rho=1.0), method="knn")
-    with pytest.raises(ValueError, match="NwParams"):
-        loo_score(data, KnnParams(k=1, k_prime=1), method="nw")
-    with pytest.raises(ValueError, match="method"):
-        loo_score(data, KnnParams(k=1, k_prime=1), method="bad")
+    assert mae(data.responses, loo_predictions(data, KnnParams(k=2, k_prime=2))) == 0.0
 
 
 def test_loo_needs_two_sites():
@@ -501,17 +485,16 @@ def test_loo_labels_nw_params():
     np.testing.assert_array_equal(loo_labels(data, p, 3), want)
 
 
-def test_loo_ccr_consistency():
-    rng = np.random.default_rng(42)
-    data = random_dataset(rng, n=12, labels=True)
-    p = KnnParams(k=3, k_prime=3, k1="gaussian", k2="gaussian")
-    report = loo_ccr(data, p)
-    direct = ccr(data.labels, loo_labels(data, p), 3)
-    assert report == direct
-
-
 # ---------------------------------------------------------------------------
 # grid search
+
+
+def loo_mae(data, p):
+    return mae(data.responses, loo_predictions(data, p))
+
+
+def loo_rate(data, p):
+    return ccr(data.labels, loo_labels(data, p, 3), 3).overall
 
 
 def exhaustive_scores(data, grid, method, score_fn):
@@ -540,7 +523,7 @@ def test_cv_select_matches_exhaustive_oracle():
         k2_specs=("parzen", "indicator"),
     )
     params, score = cv_select(data, grid, "knn")
-    table = exhaustive_scores(data, grid, "knn", lambda d, p: loo_score(d, p))
+    table = exhaustive_scores(data, grid, "knn", loo_mae)
     best = min(
         table,
         key=lambda row: (
@@ -565,7 +548,7 @@ def test_cv_select_nw_matches_exhaustive_oracle():
         k2_specs=("gaussian", "biweight"),
     )
     params, score = cv_select(data, grid, "nw")
-    table = exhaustive_scores(data, grid, "nw", lambda d, p: loo_score(d, p))
+    table = exhaustive_scores(data, grid, "nw", loo_mae)
     best = min(
         table,
         key=lambda row: (
@@ -586,7 +569,7 @@ def test_cv_select_singleton_grid_echoes():
     grid = ParamGrid(k_values=(3,), k_prime_values=(4,), k1_specs=("gaussian",), k2_specs=("gaussian",))
     params, score = cv_select(data, grid, "knn")
     assert params == KnnParams(k=3, k_prime=4, k1="gaussian", k2="gaussian")
-    assert score == pytest.approx(loo_score(data, params), abs=1e-15)
+    assert score == pytest.approx(loo_mae(data, params), abs=1e-15)
 
 
 def test_cv_select_tie_breaks_deterministically():
@@ -641,9 +624,7 @@ def test_cv_select_classification_matches_exhaustive_oracle():
         k2_specs=("gaussian",),
     )
     params, rate = cv_select_classification(data, grid, "knn", 3)
-    table = exhaustive_scores(
-        data, grid, "knn", lambda d, p: loo_ccr(d, p, 3).overall
-    )
+    table = exhaustive_scores(data, grid, "knn", loo_rate)
     best_rate = max(r for _, r in table)
     assert rate == pytest.approx(best_rate, abs=1e-14)
     tied = [p for p, r in table if r == best_rate]
@@ -660,7 +641,7 @@ def test_cv_select_classification_nw():
     grid = ParamGrid(h_values=(1.0, 2.0), rho_values=(1.0, 2.0), k1_specs=("gaussian",), k2_specs=("gaussian",))
     params, rate = cv_select_classification(data, grid, "nw", 3)
     assert isinstance(params, NwParams)
-    assert rate == pytest.approx(loo_ccr(data, params, 3).overall, abs=1e-14)
+    assert rate == pytest.approx(loo_rate(data, params), abs=1e-14)
 
 
 @pytest.mark.parametrize("method", ["knn", "nw"])
@@ -725,10 +706,9 @@ def test_holdout_predictions_match_direct_calls():
         KnnParams(k=3, k_prime=3, k1="gaussian", k2="gaussian"),
         NwParams(h=1.0, rho=1.0, k1="gaussian", k2="gaussian"),
     ):
-        fn = predict_nw if isinstance(p, NwParams) else predict
         got = holdout_predictions(train, test, p)
         want = [
-            fn(train, test.sites.coords[i], test.covariates[i], p) for i in range(5)
+            predict(train, test.sites.coords[i], test.covariates[i], p) for i in range(5)
         ]
         np.testing.assert_allclose(got, want, rtol=0, atol=0)
 
@@ -756,7 +736,6 @@ def test_eval_report_from_values():
     assert r.mean == 2.0
     assert r.sd == pytest.approx(1.0)
     assert r.per_replication_metric == (1.0, 2.0, 3.0)
-    assert r.t_stat is None
     single = EvalReport.from_values([4.0])
     assert single.sd == 0.0
     with pytest.raises(ValueError, match="empty"):
@@ -875,7 +854,11 @@ def per_site(fn, train, test, p, *args):
 def test_holdout_case_reaches_every_branch():
     train, test = holdout_case()
     ties = KnnParams(k=3, k_prime=6, k1="indicator", k2="indicator")
-    assert any(sc[0] == sc[1] > 0.0 for sc in per_site(class_scores, train, test, ties, 3))
+    votes = [
+        np.bincount(train.labels - 1, weights=w.weights)
+        for w in per_site(knn_weights, train, test, ties)
+    ]
+    assert any(v[0] == v[1] > 0.0 for v in votes)
     assert any(knn_bandwidth(train.covariates, x, 3).bandwidth == 0.0 for x in test.covariates)
     knn, nw = KnnParams(k=1, k_prime=3), NwParams(h=0.3, rho=0.6)
     assert not all(w.normalized for w in per_site(knn_weights, train, test, knn))
@@ -890,8 +873,7 @@ def test_holdout_blocks_equal_per_site_calls_bitwise(k1, monkeypatch):
     for k2 in KERNEL_NAMES:
         for base in HOLDOUT_PARAMS:
             p = dataclasses.replace(base, k1=k1, k2=k2)
-            fn = predict_nw if isinstance(p, NwParams) else predict
-            want = np.array(per_site(fn, train, test, p))
+            want = np.array(per_site(predict, train, test, p))
             assert holdout_predictions(train, test, p).tobytes() == want.tobytes(), p
             want = per_site(classify, train, test, p, 3)
             np.testing.assert_array_equal(holdout_labels(train, test, p, 3), want, err_msg=str(p))
@@ -903,8 +885,7 @@ def test_holdout_test_set_larger_than_one_block():
         KnnParams(k=3, k_prime=6, k1="indicator", k2="indicator"),
         NwParams(h=1.5, rho=2.0, k1="epanechnikov", k2="parzen"),
     ):
-        fn = predict_nw if isinstance(p, NwParams) else predict
-        want = np.array(per_site(fn, train, test, p))
+        want = np.array(per_site(predict, train, test, p))
         assert holdout_predictions(train, test, p).tobytes() == want.tobytes()
         got = holdout_labels(train, test, p)
         np.testing.assert_array_equal(got, per_site(classify, train, test, p, 2))

@@ -10,7 +10,6 @@ from spatialknn.lattice import (
     distances_to,
     make_lattice,
     pairwise_distances,
-    site_distance,
 )
 
 
@@ -87,17 +86,6 @@ class TestSiteSet:
     def test_3d_array_rejected(self):
         with pytest.raises(ValueError):
             SiteSet(np.zeros((2, 2, 2)))
-
-
-def test_site_distance_hand_values():
-    assert site_distance([0.0, 0.0], [3.0, 4.0]) == 5.0
-    assert site_distance([1.5], [1.5]) == 0.0
-    assert site_distance([1.0, 2.0, 2.0], [0.0, 0.0, 0.0]) == 3.0
-
-
-def test_site_distance_dimension_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        site_distance([0.0, 0.0], [1.0, 2.0, 3.0])
 
 
 def test_distances_to_matches_naive_loop():

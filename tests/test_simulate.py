@@ -3,17 +3,23 @@
 The strongest oracles here are exact reconstructions: a 2-site field has
 a closed-form Cholesky factor, and the mixture covariate decomposes into
 its field and dependence-surface ingredients when the regime indicator
-is pinned.
+is pinned. The generator of the bundled survey file lives here too, and
+is checked against that file byte for byte.
 """
 
 import gc
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spatialknn
+from spatialknn.dataio import survey_schema, write_dataset
 from spatialknn.errors import NumericalError  # noqa: F401  (raised path is hard to hit)
+from spatialknn.estimator import SpatialDataset
+from spatialknn.lattice import SiteSet
 from spatialknn.simulate import (
     MAX_DENSE_SITES,
     DgpParams,
@@ -22,8 +28,9 @@ from spatialknn.simulate import (
     gen_dataset,
     local_dependence_field,
     sample_grf,
-    survey_dataset,
 )
+
+SURVEY_CSV = Path(spatialknn.__file__).parent / "data" / "synthetic_survey.csv"
 
 
 def test_gaussian_cov_values():
@@ -206,7 +213,46 @@ def test_gen_dataset_coin_is_fair_ish():
     assert 0.35 < near_six.mean() < 0.65
 
 
-def test_survey_dataset_frozen_properties():
+def survey_dataset(n_stations: int = 495, seed: int = 20240913) -> SpatialDataset:
+    """The generator of the bundled survey file ``data/synthetic_survey.csv``.
+
+    Stations are scattered over a west-African-style longitude/latitude
+    box with four smooth environmental covariates (bottom/surface
+    temperature and salinity, each with station-level noise). Binary
+    presence labels follow a logistic rule that favours warm bottom
+    water in the south, so the classes are spatially clustered yet
+    noisily overlapping. Labels are classes {1, 2} with original codes
+    (0, 1) recorded, class 2 = presence.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(n_stations)
+    lon = rng.uniform(-17.6, -16.2, n)
+    lat = rng.uniform(12.3, 14.8, n)
+    sbt = (
+        16.0
+        + 3.0 * np.cos(2.0 * (lat - 12.0))
+        + 1.5 * (lon + 17.0)
+        + 0.3 * rng.standard_normal(n)
+    )
+    sst = sbt + 6.0 + 1.2 * np.sin(1.5 * (lon + 17.0)) + 0.4 * rng.standard_normal(n)
+    sbs = 35.2 + 0.6 * np.sin(1.8 * lat) + 0.2 * rng.standard_normal(n)
+    sss = 34.6 + 0.5 * np.cos(2.4 * (lon + 17.0)) + 0.25 * rng.standard_normal(n)
+    score = (
+        1.3 * (sbt - 16.0)
+        - 1.6 * (lat - 13.5)
+        + 0.8 * np.sin(4.0 * (lon + 17.0))
+        - 1.2
+    )
+    presence = rng.random(n) < 1.0 / (1.0 + np.exp(-score))
+    return SpatialDataset(
+        sites=SiteSet(np.column_stack([lon, lat])),
+        covariates=np.column_stack([sbt, sst, sbs, sss]),
+        labels=presence.astype(np.int64) + 1,
+        label_values=(0, 1),
+    )
+
+
+def test_survey_dataset_frozen_properties(tmp_path):
     data = survey_dataset()
     assert len(data) == 495
     assert data.d == 4
@@ -219,10 +265,10 @@ def test_survey_dataset_frozen_properties():
     # both classes well represented
     counts = np.bincount(data.labels, minlength=3)[1:]
     assert counts.min() > 50
-    # deterministic
-    again = survey_dataset()
-    np.testing.assert_array_equal(data.covariates, again.covariates)
-    np.testing.assert_array_equal(data.labels, again.labels)
+    # the generator made the bundled file, byte for byte
+    out = tmp_path / "survey.csv"
+    write_dataset(data, out, survey_schema())
+    assert out.read_bytes() == SURVEY_CSV.read_bytes()
 
 
 def test_dense_caches_hold_one_datasets_arrays_after_a_shape_change():
