@@ -19,7 +19,11 @@ from spatialknn import (
 )
 
 data = load_survey()
-present = int((data.labels == 2).sum())
+# the file codes presence 0/1; read_dataset makes its codes, ascending,
+# the classes 1..M and keeps them in label_values
+present_class = data.label_values.index(1) + 1
+absent_class = data.label_values.index(0) + 1
+present = int((data.labels == present_class).sum())
 print(f"{len(data)} stations, {present} with the species present "
       f"({present / len(data):.1%})")
 
@@ -45,11 +49,11 @@ for k1, k2 in [
         k1_specs=(k1,),
         k2_specs=(k2,),
     )
-    params, _ = cv_select_classification(train, grid, "knn", 2)
-    report = ccr(test.labels, holdout_labels(train, test, params, 2), 2)
+    params, _ = cv_select_classification(train, grid, "knn")
+    report = ccr(test.labels, holdout_labels(train, test, params), 2)
     print(f"{k1 + ' * ' + k2:28s} {f'({params.k}, {params.k_prime})':>20s} "
-          f"{report.overall:9.3f} {report.per_class[1]:8.3f} "
-          f"{report.per_class[0]:7.3f}")
+          f"{report.overall:9.3f} {report.per_class[present_class - 1]:8.3f} "
+          f"{report.per_class[absent_class - 1]:7.3f}")
 
 print()
 print("the CLI runs the full 6x6 kernel catalog plus the fixed-bandwidth")

@@ -26,12 +26,7 @@ from .dataio import (
     write_dataset,
     write_report,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateInputError,
-    NumericalError,
-)
+from .errors import ConfigError, DataError, NumericalError
 from .estimator import NwParams
 from .evaluation import (
     BenchmarkCell,
@@ -209,15 +204,15 @@ def cmd_predict(cfg: ExperimentConfig) -> str:
 
 
 def _class_columns(data):
-    """Per-class column suffixes and their internal class indices.
+    """Per-class column suffixes and their class indices.
 
-    Presence/absence files (original codes 0/1) report the presence
-    class first, mirroring the ``Y=1`` then ``Y=0`` convention; other
-    datasets report classes in ascending order.
+    Each class is named by its code in the file, ``class_<code>`` in
+    ascending order; presence/absence files (codes 0/1) report the
+    presence class first, mirroring the ``Y=1`` then ``Y=0`` convention.
     """
     if data.label_values == (0, 1):
         return (("y1", 2), ("y0", 1))
-    return tuple((f"class_{j}", j) for j in range(1, data.n_classes + 1))
+    return tuple((f"class_{code}", j) for j, code in enumerate(data.label_values, 1))
 
 
 def cmd_classify(cfg: ExperimentConfig) -> str:
@@ -238,7 +233,7 @@ def cmd_classify(cfg: ExperimentConfig) -> str:
     winners = {}
     for method, grid in grids.items():
         _progress(f"classify: {method} search over every kernel pair")
-        winners[method] = cv_select_classification_pairs(train, grid, method, m)
+        winners[method] = cv_select_classification_pairs(train, grid, method)
     columns = _class_columns(data)
     header = (
         ("k1", "k2")
@@ -252,7 +247,7 @@ def cmd_classify(cfg: ExperimentConfig) -> str:
             row = [k1, k2]
             for method in grids:
                 params, _ = winners[method][k1, k2]
-                report = ccr(test.labels, holdout_labels(train, test, params, m), m)
+                report = ccr(test.labels, holdout_labels(train, test, params), m)
                 row.append(report.overall)
                 row.extend(report.per_class[j - 1] for _, j in columns)
                 if method == "knn" and (best is None or report.overall > best[0]):
@@ -312,8 +307,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("error", exc, 1)
     try:
         cfg = _load_config(args)
         if args.print_config:
@@ -322,24 +316,25 @@ def main(argv=None) -> int:
         print(_COMMANDS[cfg.mode](cfg))
         return 0
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateInputError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("error", exc, 1)
+    except (DataError, OSError) as exc:
+        return _fail("data error", exc, 2)
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        return _fail("numerical failure", exc, 3)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _fail("error", exc, 1)
+
+
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Print one line for an error (configparser messages span several)."""
+    message = " ".join(line.strip() for line in str(exc).splitlines())
+    print(f"{kind}: {message}", file=sys.stderr)
+    return code
 
 
 def console_main() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

@@ -5,9 +5,9 @@ per site, row order defining the site index order. Floats are written
 with ``repr`` (shortest round-trip decimal), so write-then-read returns
 every finite float bit for bit and report files are byte-stable for
 fixed inputs.
-Binary presence/absence labels may be coded 0/1 in files; they are
-mapped onto internal classes {1, 2} (class 2 = presence) and the
-original codes are kept on the dataset so reports can translate back.
+Label columns hold any integer codes: the distinct codes, ascending,
+become classes 1..M (0/1 presence data: class 2 = presence), and the
+codes are kept on the dataset so files and reports can translate back.
 
 Configuration files are flat ``key = value`` text (configparser
 syntax) with sections [run], [simulation], [data], [grid], [output].
@@ -108,9 +108,8 @@ def _parse_label(cell: str, line: int, column: str) -> int:
 def read_dataset(path, schema: CsvSchema) -> SpatialDataset:
     """Load a dataset file; row i of the file becomes site i.
 
-    Labels coded with a 0 present are treated as 0/1 presence data and
-    mapped to classes {1, 2}; the original codes land in
-    ``label_values``. Any other coding must already be integers >= 1.
+    The distinct label codes, ascending, become classes 1..M, and
+    ``label_values`` records them: class j has code ``label_values[j - 1]``.
     """
     if schema.response_column is None and schema.label_column is None:
         raise DataError("schema names neither a response nor a label column")
@@ -152,15 +151,11 @@ def read_dataset(path, schema: CsvSchema) -> SpatialDataset:
     labels = None
     label_values = None
     if schema.label_column is not None:
-        labels = column(schema.label_column, _parse_label, np.int64)
-        if labels.size and labels.min() == 0:
-            if labels.max() > 1:
-                raise DataError(
-                    f"{path}: labels mix 0 with values > 1; use either 0/1 coding "
-                    "or classes starting at 1"
-                )
-            label_values = (0, 1)
-            labels = labels + 1
+        codes, classes = np.unique(
+            column(schema.label_column, _parse_label, np.int64), return_inverse=True
+        )
+        labels = classes + 1
+        label_values = tuple(int(c) for c in codes)
     return SpatialDataset(
         sites=SiteSet(coords),
         covariates=covariates,
@@ -521,6 +516,7 @@ def _require(condition, message):
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check mode-required fields; benchmark singulars promote to lists."""
     _require(cfg.mode in _MODES, f"mode must be one of {_MODES}, got {cfg.mode!r}")
+    _require(cfg.seed is None or cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     if cfg.mode == "simulate":
         _require(cfg.shape is not None, "simulate needs [simulation] shape")
         _require(cfg.a is not None, "simulate needs [simulation] a")

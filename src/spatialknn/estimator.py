@@ -61,9 +61,10 @@ class SpatialDataset(_Memo):
     labels : ndarray of shape (n,), optional
         Integer class labels in ``{1, ..., M}`` for classification.
     label_values : tuple, optional
-        Original label encoding as found in a source file, indexed by
-        internal class - 1 (e.g. ``(0, 1)`` when presence/absence data
-        coded 0/1 was mapped onto classes 1/2).
+        The label code of each class in the source file, ascending and
+        indexed by class - 1; :func:`~spatialknn.dataio.read_dataset`
+        always sets it (``(0, 1)`` for presence/absence data coded 0/1,
+        read as classes 1/2).
 
     At least one of ``responses``/``labels`` must be present; covariates
     and responses must be finite (``DataError`` otherwise). All arrays
@@ -266,19 +267,18 @@ def _weighted_means(
     return out
 
 
-def _votes(
-    weights: np.ndarray, live: np.ndarray, labels: np.ndarray, n_classes: int, keep
-) -> np.ndarray:
+def _votes(weights: np.ndarray, live: np.ndarray, labels: np.ndarray, keep) -> np.ndarray:
     """Per row, the label with the largest summed weight.
 
     Rows without weight get the most frequent label among
     ``labels[keep]``. Ties break toward the smallest label.
     """
     classes = labels - 1
-    majority = np.argmax(np.bincount(classes[keep], minlength=n_classes)) + 1
+    # with every site excluded, the empty count picks class 1
+    majority = np.argmax(np.bincount(classes[keep], minlength=1)) + 1
     out = np.full(len(weights), majority, dtype=np.int64)
     for i in np.flatnonzero(live):
-        out[i] = np.argmax(np.bincount(classes, weights=weights[i], minlength=n_classes)) + 1
+        out[i] = np.argmax(np.bincount(classes, weights=weights[i])) + 1
     return out
 
 
@@ -365,22 +365,13 @@ def regress(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
     return float(g_hat / f_hat)
 
 
-def _check_labels(data: SpatialDataset, n_classes: int) -> np.ndarray:
+def _check_labels(data: SpatialDataset) -> np.ndarray:
     if data.labels is None:
         raise ValueError("dataset has no labels to classify from")
-    n_classes = int(n_classes)
-    if n_classes < 1:
-        raise ValueError("number of classes must be >= 1")
-    if data.labels.size and data.labels.max() > n_classes:
-        raise DataError(
-            f"label {int(data.labels.max())} outside 1..{n_classes}"
-        )
     return data.labels
 
 
-def classify(
-    data: SpatialDataset, s0, x, p, n_classes: int, exclude=None
-) -> int:
+def classify(data: SpatialDataset, s0, x, p, *, exclude=None) -> int:
     """Predicted class at ``(s0, x)``: the label with the largest score.
 
     A label's score is the summed normalized weight of the sites that
@@ -390,6 +381,6 @@ def classify(
     class of the (non-excluded) training labels is returned, ties again
     toward the smallest label.
     """
-    labels = _check_labels(data, n_classes)
+    labels = _check_labels(data)
     raw, keep = _query_weights(data, s0, x, p, exclude)
-    return int(_votes(raw, _normalize(raw), labels, int(n_classes), keep)[0])
+    return int(_votes(raw, _normalize(raw), labels, keep)[0])

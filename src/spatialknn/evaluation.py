@@ -105,18 +105,12 @@ class CcrReport:
 
     ``per_class[j-1]`` is the fraction of true class-``j`` sites that
     were predicted as class ``j``; nan marks a class absent from the
-    truth (rate undefined). ``counts[j-1]`` is the number of true
-    class-``j`` sites, so ``overall`` always equals the count-weighted
-    average of the defined per-class rates.
+    truth (rate undefined). ``overall`` is the average of the defined
+    per-class rates weighted by the class counts of the truth.
     """
 
     overall: float
     per_class: tuple[float, ...]
-    counts: tuple[int, ...]
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.per_class)
 
 
 def ccr(truth, pred, n_classes: int) -> CcrReport:
@@ -135,13 +129,10 @@ def ccr(truth, pred, n_classes: int) -> CcrReport:
             raise ValueError(f"{name} labels fall outside 1..{m}")
     overall = float(np.mean(truth == pred))
     per_class = []
-    counts = []
     for j in range(1, m + 1):
         members = truth == j
-        c = int(members.sum())
-        counts.append(c)
-        per_class.append(float(np.mean(pred[members] == j)) if c else math.nan)
-    return CcrReport(overall, tuple(per_class), tuple(counts))
+        per_class.append(float(np.mean(pred[members] == j)) if members.any() else math.nan)
+    return CcrReport(overall, tuple(per_class))
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +154,8 @@ def stratified_split(data: SpatialDataset, train_fraction: float = 0.8, seed=Non
     if not 0.0 < f < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {f}")
     rng = np.random.default_rng(seed)
-    train_parts = []
-    test_parts = []
+    train_parts = [np.empty(0, dtype=np.int64)]
+    test_parts = [np.empty(0, dtype=np.int64)]
     for c in np.unique(data.labels):
         idx = np.flatnonzero(data.labels == c)
         if idx.size < 2:
@@ -178,12 +169,7 @@ def stratified_split(data: SpatialDataset, train_fraction: float = 0.8, seed=Non
         perm = rng.permutation(idx)
         train_parts.append(perm[:n_train])
         test_parts.append(perm[n_train:])
-    train = np.sort(np.concatenate(train_parts))
-    if test_parts:
-        test = np.sort(np.concatenate(test_parts))
-    else:
-        test = np.array([], dtype=np.int64)
-    return train, test
+    return np.sort(np.concatenate(train_parts)), np.sort(np.concatenate(test_parts))
 
 
 # ---------------------------------------------------------------------------
@@ -609,24 +595,20 @@ def loo_predictions(data: SpatialDataset, params) -> np.ndarray:
     return out
 
 
-def _label_onehot(data: SpatialDataset, n_classes) -> np.ndarray:
-    if data.labels is None:
-        raise ValueError("leave-one-out classification needs labels")
-    m = int(n_classes) if n_classes is not None else data.n_classes
-    if data.labels.max() > m:
-        raise ValueError(f"labels exceed the declared {m} classes")
-    onehot = np.zeros((len(data), m))
-    onehot[np.arange(len(data)), data.labels - 1] = 1.0
+def _label_onehot(data: SpatialDataset) -> np.ndarray:
+    labels = _check_labels(data)
+    onehot = np.zeros((len(data), data.n_classes))
+    onehot[np.arange(len(data)), labels - 1] = 1.0
     return onehot
 
 
-def loo_labels(data: SpatialDataset, params, n_classes=None) -> np.ndarray:
+def loo_labels(data: SpatialDataset, params) -> np.ndarray:
     """Each site's label predicted from all the other sites.
 
     Ties and empty votes resolve exactly as in
     :func:`~spatialknn.estimator.classify`.
     """
-    onehot = _label_onehot(data, n_classes)
+    onehot = _label_onehot(data)
     out = np.empty(len(data), dtype=np.int64)
     for rows, weights in _loo_weights(data, params):
         out[rows] = _loo_vote(weights, onehot, rows)
@@ -671,6 +653,8 @@ def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> 
     all fit evaluates each matrix once per block.
     """
     _check_method(method)
+    if len(data) < 2:
+        raise ValueError("leave-one-out needs at least 2 sites")
     main_vals, aux_vals = _grid_axes(grid, method)
     k1s = tuple(dict.fromkeys(grid.k1_specs))
     k2s = tuple(dict.fromkeys(grid.k2_specs))
@@ -767,8 +751,8 @@ def cv_select(data: SpatialDataset, grid: ParamGrid, method: str = "knn"):
     return _best(_grid_search(data, grid, method, by_abs_error), method)
 
 
-def _classification_search(data, grid, method, n_classes) -> dict:
-    onehot = _label_onehot(data, n_classes)
+def _classification_search(data, grid, method) -> dict:
+    onehot = _label_onehot(data)
     truth = data.labels
 
     def misses(weights, rows):
@@ -777,19 +761,17 @@ def _classification_search(data, grid, method, n_classes) -> dict:
     return _grid_search(data, grid, method, misses)
 
 
-def cv_select_classification(
-    data: SpatialDataset, grid: ParamGrid, method: str = "knn", n_classes=None
-):
+def cv_select_classification(data: SpatialDataset, grid: ParamGrid, method: str = "knn"):
     """Grid element with the largest leave-one-out overall CCR.
 
     Returns ``(params, ccr)``. Ties break as in :func:`cv_select`.
     """
-    params, miss = _best(_classification_search(data, grid, method, n_classes), method)
+    params, miss = _best(_classification_search(data, grid, method), method)
     return params, 1.0 - miss
 
 
 def cv_select_classification_pairs(
-    data: SpatialDataset, grid: ParamGrid, method: str = "knn", n_classes=None
+    data: SpatialDataset, grid: ParamGrid, method: str = "knn"
 ) -> dict:
     """Leave-one-out CCR winner of every kernel pair of the grid.
 
@@ -798,7 +780,7 @@ def cv_select_classification_pairs(
     :func:`cv_select_classification` returns on the same grid narrowed to
     that one pair, at the cost of a single search.
     """
-    winners = _classification_search(data, grid, method, n_classes)
+    winners = _classification_search(data, grid, method)
     return {
         (k1, k2): (_selected(method, main, aux, k1, k2), 1.0 - miss)
         for (k1, k2), (miss, main, aux) in winners.items()
@@ -849,19 +831,16 @@ def holdout_predictions(train: SpatialDataset, test: SpatialDataset, params) -> 
     return out
 
 
-def holdout_labels(
-    train: SpatialDataset, test: SpatialDataset, params, n_classes=None
-) -> np.ndarray:
+def holdout_labels(train: SpatialDataset, test: SpatialDataset, params) -> np.ndarray:
     """Classify every test site from the training data.
 
     Equals per-site :func:`~spatialknn.estimator.classify` calls, ties
     and empty votes included.
     """
-    m = int(n_classes) if n_classes is not None else train.n_classes
-    labels = _check_labels(train, m)
+    labels = _check_labels(train)
     out = np.empty(len(test), dtype=np.int64)
     for rows, weights, live in _holdout_blocks(train, test, params):
-        out[rows] = _votes(weights, live, labels, m, slice(None))
+        out[rows] = _votes(weights, live, labels, slice(None))
     return out
 
 

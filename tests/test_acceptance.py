@@ -245,15 +245,13 @@ def test_criterion_6_classifier_sanity(capsys):
         data = clustered_two_class(seed)
         train_idx, test_idx = stratified_split(data, 0.8, seed=seed)
         train, test = data.subset(train_idx), data.subset(test_idx)
-        pred = holdout_labels(train, test, p, 2)
+        pred = holdout_labels(train, test, p)
         rates.append(float((pred == test.labels).mean()))
 
         swapped = SpatialDataset(
             sites=data.sites, covariates=data.covariates, labels=3 - data.labels
         )
-        pred_swapped = holdout_labels(
-            swapped.subset(train_idx), swapped.subset(test_idx), p, 2
-        )
+        pred_swapped = holdout_labels(swapped.subset(train_idx), swapped.subset(test_idx), p)
         if not np.array_equal(pred_swapped, 3 - pred):
             equivariant = False
     ok = min(rates) >= 0.95 and equivariant

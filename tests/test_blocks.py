@@ -87,7 +87,7 @@ def whole_scores(data, grid, method):
     return (
         {p: mae(data.responses, loo_predictions(data, p)) for p in points},
         {
-            p: 1.0 - ccr(data.labels, loo_labels(data, p, N_CLASSES), N_CLASSES).overall
+            p: 1.0 - ccr(data.labels, loo_labels(data, p), N_CLASSES).overall
             for p in points
         },
     )
@@ -144,7 +144,7 @@ def test_grid_search_does_not_depend_on_block_rows(method, case):
             results.append(
                 (
                     outcome(lambda: cv_select(data, grid, method)),
-                    outcome(lambda: cv_select_classification_pairs(data, grid, method, N_CLASSES)),
+                    outcome(lambda: cv_select_classification_pairs(data, grid, method)),
                 )
             )
     if isinstance(results[-1][0], str):
@@ -179,7 +179,7 @@ def test_site_rank_error_in_a_later_block_matches_one_block(monkeypatch):
             cv_select(data, grid, "knn")
         assert str(raised.value) == want
         with pytest.raises(ValueError) as raised:
-            cv_select_classification_pairs(data, grid, "knn", 2)
+            cv_select_classification_pairs(data, grid, "knn")
         assert str(raised.value) == want
 
 
@@ -201,8 +201,8 @@ def test_loo_fallback_rows_in_later_blocks(monkeypatch):
     np.testing.assert_array_equal(
         loo_predictions(data, p), [(y.sum() - y[i]) / (n - 1) for i in range(n)]
     )
-    assert list(loo_labels(data, p, 3)) == [
-        classify(data, data.sites.coords[i], data.covariates[i], p, 3, exclude={i})
+    assert list(loo_labels(data, p)) == [
+        classify(data, data.sites.coords[i], data.covariates[i], p, exclude={i})
         for i in range(n)
     ]
     want = [predict(data, data.sites.coords[i], data.covariates[i], p, exclude={i}) for i in range(n)]

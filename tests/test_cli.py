@@ -5,12 +5,17 @@ files live in tmp_path. Oracles recompute the reports with direct
 library calls on the same files.
 """
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spatialknn
 from spatialknn import evaluation
 from spatialknn.cli import main
 from spatialknn.dataio import CsvSchema, parse_config, read_dataset
@@ -100,6 +105,48 @@ def test_mode_requirements_enforced(tmp_path, capsys):
     assert code == 1 and "seed" in err
 
 
+def test_malformed_config_message_is_one_line(tmp_path, capsys):
+    # configparser spreads these messages over several lines
+    for text in ("not a section\n", "[run]\nmode = cv\n= 3\n"):
+        cfg = write(tmp_path, "bad.cfg", text)
+        code, _, err = run(capsys, "cv", "--config", cfg)
+        assert code == 1
+        assert err.startswith("error: malformed config") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["config", "flag"])
+def test_negative_seed_is_a_config_error(tmp_path, capsys, source):
+    # numpy's seeding rejected it later with "expected non-negative integer"
+    seed = "\nseed = -1" if source == "config" else ""
+    cfg = write(
+        tmp_path,
+        "s.cfg",
+        f"[run]\nmode = simulate{seed}\n\n[simulation]\nshape = 4x4\na = 5.0\nsigma = 0.1\n",
+    )
+    flag = ["--seed", "-1"] if source == "flag" else []
+    out = str(tmp_path / "d.csv")
+    code, _, err = run(capsys, "simulate", "--config", cfg, "--output", out, *flag)
+    assert code == 1 and "seed must be >= 0, got -1" in err
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    src = str(Path(spatialknn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = tmp_path / "table.csv"
+    argv = ["classify", "--config", classify_config(tmp_path, presence_file(tmp_path))]
+    done = subprocess.run(
+        [sys.executable, "-m", "spatialknn.cli", *argv, "--output", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "best knn pair" in done.stdout
+    assert out.read_text().startswith("k1,k2,knn_all,knn_y1,knn_y0,")
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -173,6 +220,25 @@ def test_cv_report_matches_library(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "method,k,k_prime,h,rho,k1,k2,loo_mae"
     assert lines[1] == f"knn,{params.k},{params.k_prime},,,{params.k1},{params.k2},{score!r}"
+
+
+@pytest.mark.parametrize("rows", ["", "0.0,0.0,1.0,2.0\n"], ids=["no site", "one site"])
+@pytest.mark.parametrize(
+    "grid", [CV_GRID, "[grid]\nh_values = 1.0\nrho_values = 1.0\n"], ids=["knn", "nw"]
+)
+def test_cv_under_two_sites_is_an_error(tmp_path, capsys, rows, grid):
+    # a header-only file with an nw grid raised ZeroDivisionError, and a knn
+    # grid said "exceeds the -1 available points"
+    data_path = write(tmp_path, "d.csv", "s1,s2,x,y\n" + rows)
+    cfg = write(
+        tmp_path,
+        "cv.cfg",
+        f"[run]\nmode = cv\nmethod = {'nw' if 'h_values' in grid else 'knn'}\n\n"
+        f"[data]\npath = {data_path}\nsite_columns = s1, s2\n"
+        "covariate_columns = x\nresponse_column = y\n\n" + grid,
+    )
+    code, _, err = run(capsys, "cv", "--config", cfg)
+    assert code == 1 and err == "error: leave-one-out needs at least 2 sites\n"
 
 
 def test_cv_prints_to_stdout_without_output(tmp_path, capsys):
@@ -313,6 +379,35 @@ def test_classify_label_out_of_int64_range_is_a_data_error(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "--config", classify_config(tmp_path, data))
     assert code == 2
     assert "line 6, column 'p'" in err and "out of range" in err
+
+
+@pytest.mark.parametrize("codes", [(1, 2, 3), (1, 3), (0, 2), (-1, 1), (1, 3000), (1, 10**9)])
+def test_classify_names_columns_by_label_code(tmp_path, capsys, codes):
+    # the codes, ascending, are the classes: the table equals the one of the
+    # same sites coded 1..M, under the codes' own column names
+    def table(name, values):
+        rows = ["s1,s2,x,p"]
+        for i in range(24):
+            j = i * len(values) // 24
+            rows.append(f"{float(i % 4)!r},{float(i // 4)!r},{5.0 * j + 0.1 * i!r},{values[j]}")
+        data = write(tmp_path, name, "\n".join(rows) + "\n")
+        out = tmp_path / f"{name}.table"
+        cfg = classify_config(tmp_path, data)
+        code, _, _ = run(capsys, "classify", "--config", cfg, "--output", str(out))
+        assert code == 0
+        return out.read_text().splitlines()
+
+    got = table("codes.csv", codes)
+    blocks = ("all", *(f"class_{c}" for c in codes))
+    assert got[0].split(",") == ["k1", "k2", *(f"{m}_{b}" for m in ("knn", "nw") for b in blocks)]
+    assert got[1:] == table("classes.csv", range(1, len(codes) + 1))[1:]
+
+
+def test_classify_header_only_file(tmp_path, capsys):
+    # the split of no sites raised "need at least one array to concatenate"
+    cfg = classify_config(tmp_path, write(tmp_path, "empty.csv", "s1,s2,x,p\n"))
+    code, _, err = run(capsys, "classify", "--config", cfg)
+    assert code == 2 and "empty test set" in err
 
 
 def test_classify_all_singleton_classes(tmp_path, capsys):

@@ -81,7 +81,7 @@ def test_roundtrip_labels_from_one(tmp_path):
     write_dataset(data, path, schema)
     back = read_dataset(path, schema)
     np.testing.assert_array_equal(back.labels, data.labels)
-    assert back.label_values is None
+    assert back.label_values == (1, 2, 3)
 
 
 def test_presence_codes_map_to_classes(tmp_path):
@@ -90,6 +90,26 @@ def test_presence_codes_map_to_classes(tmp_path):
     data = read_dataset(path, simple_schema(label_column="p"))
     np.testing.assert_array_equal(data.labels, [1, 2, 1])
     assert data.label_values == (0, 1)
+
+
+@pytest.mark.parametrize(
+    "codes", [(0, 2), (-1, 1), (1, 3), (1, 3000), (1, 10**9), (-(2**63), 0, 2**63 - 1)]
+)
+def test_label_codes_map_to_ascending_classes(tmp_path, codes):
+    # any integer codes read as classes 1..M in code order, and write back as written
+    src = tmp_path / "a.csv"
+    column = [codes[-1], *codes, codes[0]]
+    src.write_text("s1,s2,x,p\n" + "".join(f"{i}.0,0.0,1.0,{c}\n" for i, c in enumerate(column)))
+    schema = simple_schema(label_column="p")
+    data = read_dataset(src, schema)
+    assert data.label_values == codes
+    m = len(codes)
+    np.testing.assert_array_equal(data.labels, [m, *range(1, m + 1), 1])
+    assert data.n_classes == m
+    out = tmp_path / "b.csv"
+    write_dataset(data, out, schema)
+    assert out.read_bytes() == src.read_bytes()
+    assert read_dataset(out, schema).label_values == codes
 
 
 def test_presence_roundtrip_is_byte_identical(tmp_path):
@@ -173,13 +193,6 @@ def test_read_errors_name_the_problem(tmp_path):
     with pytest.raises(ParseError, match="integer label"):
         read_dataset(path, simple_schema(label_column="p"))
 
-    path.write_text("s1,s2,x,p\n0,0,1,0\n1,0,2,2\n")
-    with pytest.raises(DataError, match="mix 0 with"):
-        read_dataset(path, simple_schema(label_column="p"))
-
-    path.write_text("s1,s2,x,p\n0,0,1,-1\n1,0,2,1\n")
-    with pytest.raises(DataError, match=">= 1"):
-        read_dataset(path, simple_schema(label_column="p"))
 
 
 def test_write_errors(tmp_path):

@@ -121,14 +121,14 @@ def test_block_rows_equal_per_query_calls(case):
     live = _normalize(raw)
     keep = ~excluded
     means = _weighted_means(raw, live, data.responses, keep)
-    votes = _votes(raw, live, data.labels, N_CLASSES, keep)
+    votes = _votes(raw, live, data.labels, keep)
     for i, (s0, x) in enumerate(queries(sites, covariates)):
         w = weights_fn(data, s0, x, p, exclude=exclude)
         assert w.weights.tobytes() == raw[i].tobytes()
         assert w.normalized == live[i]
         mean = np.float64(predict(data, s0, x, p, exclude=exclude))
         assert mean.tobytes() == means[i].tobytes()
-        assert classify(data, s0, x, p, N_CLASSES, exclude=exclude) == votes[i]
+        assert classify(data, s0, x, p, exclude=exclude) == votes[i]
 
 
 @PROPERTY
@@ -157,13 +157,13 @@ def test_holdout_helpers_equal_per_query_calls(case):
     )
     block_error = error_text(lambda: holdout_predictions(train, test, p))
     if block_error is not None:
-        assert error_text(lambda: holdout_labels(train, test, p, N_CLASSES)) == block_error
+        assert error_text(lambda: holdout_labels(train, test, p)) == block_error
         return
     got = holdout_predictions(train, test, p)
     want = np.array([predict(train, s0, x, p) for s0, x in queries(sites, covariates)])
     assert got.tobytes() == want.tobytes()
-    labels = holdout_labels(train, test, p, N_CLASSES)
-    want = [classify(train, s0, x, p, N_CLASSES) for s0, x in queries(sites, covariates)]
+    labels = holdout_labels(train, test, p)
+    want = [classify(train, s0, x, p) for s0, x in queries(sites, covariates)]
     assert list(labels) == want
 
 

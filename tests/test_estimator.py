@@ -274,7 +274,8 @@ def test_nonfinite_query_rejected(bad):
         (regress, knn),
         (nw_weights, nw),
         (predict, nw),
-        *((lambda *a, **kw: classify(*a, n_classes=3, **kw), p) for p in (knn, nw)),
+        (classify, knn),
+        (classify, nw),
     ]
     for call, p in calls:
         with pytest.raises(DataError, match="query covariate must be finite"):
@@ -318,14 +319,14 @@ def test_class_scores_are_grouped_weight_sums():
             )
         assert scores.sum() == pytest.approx(1.0, abs=1e-12)
         # gaussian kernels give every site weight: the vote is the top score
-        assert classify(data, s0, x, p, 3) == np.argmax(scores) + 1
+        assert classify(data, s0, x, p) == np.argmax(scores) + 1
 
 
 def test_classify_majority_of_neighbors():
     data = labelled_line([1, 1, 1, 2, 2])
     p = KnnParams(k=5, k_prime=4, k1="indicator", k2="indicator")
     # equal weights on all five sites: class 1 wins 3 votes to 2
-    assert classify(data, [0.4], [2.0], p, 2) == 1
+    assert classify(data, [0.4], [2.0], p) == 1
 
 
 def test_classify_tie_breaks_to_smallest_label():
@@ -339,39 +340,39 @@ def test_classify_tie_breaks_to_smallest_label():
     p = KnnParams(k=1, k_prime=1, k1="indicator", k2="indicator")
     scores = class_scores(data, [0.5], [0.0], p, 2)
     assert scores[0] == scores[1] == 0.5
-    assert classify(data, [0.5], [0.0], p, 2) == 1
+    assert classify(data, [0.5], [0.0], p) == 1
 
 
 def test_classify_empty_vote_falls_back_to_majority():
     data = labelled_line([2, 2, 2, 1, 1])
     p = KnnParams(k=1, k_prime=1, k1="indicator", k2="indicator")
     # spatial query far away: all weights vanish, majority label 2 wins
-    assert classify(data, [99.0], [0.0], p, 2) == 2
+    assert classify(data, [99.0], [0.0], p) == 2
     # excluding two of the majority leaves a 2-2 tie: smallest label
-    assert classify(data, [99.0], [0.0], p, 2, exclude={0}) == 1
+    assert classify(data, [99.0], [0.0], p, exclude={0}) == 1
 
 
 def test_classify_respects_exclusion():
     data = labelled_line([1, 2])
     p = KnnParams(k=1, k_prime=1, k1="indicator", k2="indicator")
     # covariate 0 matches site 0 exactly, so class 1 wins outright
-    assert classify(data, [0.75], [0.0], p, 2) == 1
+    assert classify(data, [0.75], [0.0], p) == 1
     # with site 0 excluded the vote can only come from site 1
-    assert classify(data, [0.75], [0.0], p, 2, exclude={0}) == 2
+    assert classify(data, [0.75], [0.0], p, exclude={0}) == 2
 
 
 def test_classify_validation():
     data = labelled_line([1, 2, 3])
     p = KnnParams(k=1, k_prime=1)
-    with pytest.raises(DataError, match="outside"):
-        classify(data, [0.5], [0.0], p, 2)
-    with pytest.raises(ValueError, match=">= 1"):
-        classify(data, [0.5], [0.0], p, 0)
+    # the class count comes from the labels; a count in the old position
+    # is an error, not an exclusion set
+    with pytest.raises(TypeError):
+        classify(data, [0.5], [0.0], p, {0})
     unlabelled = SpatialDataset(
         sites=data.sites, covariates=data.covariates, responses=np.zeros(3)
     )
     with pytest.raises(ValueError, match="labels"):
-        classify(unlabelled, [0.5], [0.0], p, 2)
+        classify(unlabelled, [0.5], [0.0], p)
 
 
 # ---------------------------------------------------------------------------

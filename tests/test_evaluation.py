@@ -87,13 +87,10 @@ def test_ccr_hand_example():
     report = ccr([2, 2, 1, 1], [2, 1, 1, 1], 2)
     assert report.overall == 0.75
     assert report.per_class == (1.0, 0.5)
-    assert report.counts == (2, 2)
-    assert report.n_classes == 2
 
 
 def test_ccr_absent_class_is_nan():
     report = ccr([1, 1], [1, 2], 2)
-    assert report.counts == (2, 0)
     assert math.isnan(report.per_class[1])
     assert report.per_class[0] == 0.5
 
@@ -105,9 +102,8 @@ def test_ccr_overall_recombines_from_classes():
         truth = rng.integers(1, m + 1, size=n)
         pred = rng.integers(1, m + 1, size=n)
         report = ccr(truth, pred, m)
-        total = sum(
-            c * r for c, r in zip(report.counts, report.per_class) if c > 0
-        )
+        counts = np.bincount(truth, minlength=m + 1)[1:]
+        total = sum(c * r for c, r in zip(counts, report.per_class) if c > 0)
         assert report.overall == pytest.approx(total / n, abs=1e-12)
 
 
@@ -154,6 +150,14 @@ def test_split_deterministic_and_sorted():
     assert (np.diff(t1) > 0).all() and (np.diff(s1) > 0).all()
     t3, _ = stratified_split(data, 0.7, seed=6)
     assert not np.array_equal(t1, t3)
+
+
+def test_split_of_no_sites_is_two_empty_sides():
+    empty = SpatialDataset(
+        sites=SiteSet(np.zeros((0, 1))), covariates=np.zeros((0, 1)), labels=np.zeros(0, int)
+    )
+    for side in stratified_split(empty, 0.8, seed=0):
+        assert side.dtype == np.int64 and side.size == 0
 
 
 def test_split_clamps_keep_both_sides():
@@ -466,9 +470,9 @@ def test_loo_labels_match_per_site_classify():
             k1=KERNEL_NAMES[rng.integers(0, 6)],
             k2=KERNEL_NAMES[rng.integers(0, 6)],
         )
-        got = loo_labels(data, p, 3)
+        got = loo_labels(data, p)
         want = [
-            classify(data, data.sites.coords[i], data.covariates[i], p, 3, exclude={i})
+            classify(data, data.sites.coords[i], data.covariates[i], p, exclude={i})
             for i in range(n)
         ]
         np.testing.assert_array_equal(got, want)
@@ -479,10 +483,10 @@ def test_loo_labels_nw_params():
     data = random_dataset(rng, n=9, labels=True)
     p = NwParams(h=1.5, rho=1.5, k1="gaussian", k2="gaussian")
     want = [
-        classify(data, data.sites.coords[i], data.covariates[i], p, 3, exclude={i})
+        classify(data, data.sites.coords[i], data.covariates[i], p, exclude={i})
         for i in range(9)
     ]
-    np.testing.assert_array_equal(loo_labels(data, p, 3), want)
+    np.testing.assert_array_equal(loo_labels(data, p), want)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +498,7 @@ def loo_mae(data, p):
 
 
 def loo_rate(data, p):
-    return ccr(data.labels, loo_labels(data, p, 3), 3).overall
+    return ccr(data.labels, loo_labels(data, p), 3).overall
 
 
 def exhaustive_scores(data, grid, method, score_fn):
@@ -623,7 +627,7 @@ def test_cv_select_classification_matches_exhaustive_oracle():
         k1_specs=("gaussian", "parzen"),
         k2_specs=("gaussian",),
     )
-    params, rate = cv_select_classification(data, grid, "knn", 3)
+    params, rate = cv_select_classification(data, grid, "knn")
     table = exhaustive_scores(data, grid, "knn", loo_rate)
     best_rate = max(r for _, r in table)
     assert rate == pytest.approx(best_rate, abs=1e-14)
@@ -639,7 +643,7 @@ def test_cv_select_classification_nw():
     rng = np.random.default_rng(61)
     data = random_dataset(rng, n=10, labels=True)
     grid = ParamGrid(h_values=(1.0, 2.0), rho_values=(1.0, 2.0), k1_specs=("gaussian",), k2_specs=("gaussian",))
-    params, rate = cv_select_classification(data, grid, "nw", 3)
+    params, rate = cv_select_classification(data, grid, "nw")
     assert isinstance(params, NwParams)
     assert rate == pytest.approx(loo_rate(data, params), abs=1e-14)
 
@@ -656,11 +660,11 @@ def test_pair_winners_equal_single_pair_searches(method):
         k1_specs=KERNEL_NAMES,
         k2_specs=KERNEL_NAMES,
     )
-    got = cv_select_classification_pairs(data, grid, method, 3)
+    got = cv_select_classification_pairs(data, grid, method)
     assert list(got) == [(k1, k2) for k1 in KERNEL_NAMES for k2 in KERNEL_NAMES]
     for (k1, k2), winner in got.items():
         narrowed = dataclasses.replace(grid, k1_specs=(k1,), k2_specs=(k2,))
-        assert winner == cv_select_classification(data, narrowed, method, 3)
+        assert winner == cv_select_classification(data, narrowed, method)
 
 
 @pytest.mark.parametrize("method", ["knn", "nw"])
@@ -689,7 +693,7 @@ def test_pair_winners_do_not_depend_on_kernel_chunks(method, monkeypatch):
     for kernels_per_chunk, n_chunks in ((1, 6), (2, 3), (6, 1)):
         monkeypatch.setattr(evaluation, "_COVARIATE_BLOCK_BYTES", kernels_per_chunk * per_kernel)
         calls.clear()
-        results.append(cv_select_classification_pairs(data, grid, method, 3))
+        results.append(cv_select_classification_pairs(data, grid, method))
         assert len(calls) == 6 * 3 + n_chunks * 6 * 2
     assert results[0] == results[1] == results[2]
 
@@ -720,7 +724,7 @@ def test_holdout_labels_match_direct_calls():
     p = KnnParams(k=4, k_prime=4, k1="gaussian", k2="gaussian")
     got = holdout_labels(train, test, p)
     want = [
-        classify(train, test.sites.coords[i], test.covariates[i], p, 3)
+        classify(train, test.sites.coords[i], test.covariates[i], p)
         for i in range(6)
     ]
     np.testing.assert_array_equal(got, want)
@@ -847,8 +851,8 @@ HOLDOUT_PARAMS = (
 )
 
 
-def per_site(fn, train, test, p, *args):
-    return [fn(train, s, x, p, *args) for s, x in zip(test.sites.coords, test.covariates)]
+def per_site(fn, train, test, p):
+    return [fn(train, s, x, p) for s, x in zip(test.sites.coords, test.covariates)]
 
 
 def test_holdout_case_reaches_every_branch():
@@ -875,8 +879,8 @@ def test_holdout_blocks_equal_per_site_calls_bitwise(k1, monkeypatch):
             p = dataclasses.replace(base, k1=k1, k2=k2)
             want = np.array(per_site(predict, train, test, p))
             assert holdout_predictions(train, test, p).tobytes() == want.tobytes(), p
-            want = per_site(classify, train, test, p, 3)
-            np.testing.assert_array_equal(holdout_labels(train, test, p, 3), want, err_msg=str(p))
+            want = per_site(classify, train, test, p)
+            np.testing.assert_array_equal(holdout_labels(train, test, p), want, err_msg=str(p))
 
 
 def test_holdout_test_set_larger_than_one_block():
@@ -888,7 +892,7 @@ def test_holdout_test_set_larger_than_one_block():
         want = np.array(per_site(predict, train, test, p))
         assert holdout_predictions(train, test, p).tobytes() == want.tobytes()
         got = holdout_labels(train, test, p)
-        np.testing.assert_array_equal(got, per_site(classify, train, test, p, 2))
+        np.testing.assert_array_equal(got, per_site(classify, train, test, p))
         assert got.dtype == np.int64
 
 
@@ -909,9 +913,9 @@ def test_holdout_errors_match_per_site_calls():
     )
     p = KnnParams(k=3, k_prime=29)
     with pytest.raises(ValueError, match="exceeds the 28 available"):
-        classify(short, test.sites.coords[0], test.covariates[0], p, 2)
+        classify(short, test.sites.coords[0], test.covariates[0], p)
     with pytest.raises(ValueError, match="exceeds the 28 available"):
-        holdout_labels(short, test, p, 2)
+        holdout_labels(short, test, p)
     wide = test.subset(range(3))
     wide = SpatialDataset(sites=wide.sites, covariates=np.zeros((3, 2)), labels=wide.labels)
     with pytest.raises(ValueError, match="query covariate has length 2"):
@@ -937,5 +941,5 @@ def test_holdout_labels_round_exact_ties_like_classify():
             KnnParams(k=3, k_prime=20, k1="indicator", k2="gaussian"),
             NwParams(h=1.0, rho=1.0, k1="gaussian", k2="gaussian"),
         ):
-            want = per_site(classify, train, query, p, 2)
+            want = per_site(classify, train, query, p)
             np.testing.assert_array_equal(holdout_labels(train, query, p), want)

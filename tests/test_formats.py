@@ -187,6 +187,10 @@ PROPERTY = settings(
 )
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308)
+LABEL_CODES = st.one_of(
+    st.sampled_from((0, 1, -1, 3000, 10**9)),
+    st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
+)
 FLOATS = st.one_of(
     st.sampled_from(EDGE_FLOATS),
     st.floats(allow_nan=False, allow_infinity=False, width=64),
@@ -199,13 +203,13 @@ def datasets(draw):
     d = draw(st.integers(1, 3))
     cells = draw(st.lists(FLOATS, min_size=n * (3 + d), max_size=n * (3 + d)))
     values = np.array(cells, dtype=float).reshape(n, 3 + d)
-    if draw(st.booleans()):  # presence data coded 0/1, with at least one 0
-        labels = np.array(draw(st.lists(st.sampled_from((1, 2)), min_size=n, max_size=n)))
-        labels[draw(st.integers(0, n - 1))] = 1
-        label_values = (0, 1)
-    else:  # classes coded 1..M
-        labels = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # classes with the codes of a file
+        codes = draw(st.lists(LABEL_CODES, min_size=1, max_size=4, unique=True))
+        label_values = tuple(sorted(codes))
+    else:  # classes built in the library, which are their own codes
         label_values = None
+    top = 5 if label_values is None else len(label_values)
+    labels = np.array(draw(st.lists(st.integers(1, top), min_size=n, max_size=n)))
     return SpatialDataset(
         sites=SiteSet(values[:, :2]),
         covariates=values[:, 2 : 2 + d],
@@ -217,6 +221,12 @@ def datasets(draw):
 
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def label_codes(data):
+    if data.label_values is None:
+        return data.labels.tolist()
+    return [data.label_values[j - 1] for j in data.labels]
 
 
 @PROPERTY
@@ -235,5 +245,5 @@ def test_write_then_read_returns_every_float_bit_for_bit(tmp_path_factory, data,
     assert np.array_equal(bits(back.sites.coords), bits(data.sites.coords))
     assert np.array_equal(bits(back.covariates), bits(data.covariates))
     assert np.array_equal(bits(back.responses), bits(data.responses))
-    assert np.array_equal(back.labels, data.labels)
-    assert back.label_values == data.label_values
+    assert label_codes(back) == label_codes(data)
+    assert back.label_values == tuple(sorted(set(label_codes(data))))

@@ -103,9 +103,9 @@ def test_warm_memo_gives_the_cold_classification_pairs():
     )
     for method in ("knn", "nw"):
         grid = evaluation._complete_grid(KERNEL_GRID, data, method)
-        cold = cv_select_classification_pairs(fresh(data), grid, method, 3)
-        assert cv_select_classification_pairs(data, grid, method, 3) == cold
-        assert cv_select_classification_pairs(data, grid, method, 3) == cold
+        cold = cv_select_classification_pairs(fresh(data), grid, method)
+        assert cv_select_classification_pairs(data, grid, method) == cold
+        assert cv_select_classification_pairs(data, grid, method) == cold
 
 
 def test_warm_lattice_gives_the_cold_benchmark():

@@ -88,6 +88,22 @@ def test_eval_report_carries_no_test_statistic():
     assert fields == {"per_replication_metric", "mean", "sd"}
 
 
+def test_ccr_report_carries_only_rates():
+    fields = {f.name for f in dataclasses.fields(evaluation.CcrReport)}
+    assert fields == {"overall", "per_class"}
+
+
+def test_class_count_comes_from_the_labels():
+    # only ccr, which scores bare arrays, is told how many classes there are
+    for name in spatialknn.__all__:
+        value = getattr(spatialknn, name)
+        if inspect.isfunction(value):
+            params = inspect.signature(value).parameters
+            assert ("n_classes" in params) == (name == "ccr"), name
+    exclude = inspect.signature(spatialknn.classify).parameters["exclude"]
+    assert exclude.kind is inspect.Parameter.KEYWORD_ONLY
+
+
 # ---------------------------------------------------------------------------
 # the benchmark harness contract
 
