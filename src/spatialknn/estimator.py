@@ -13,17 +13,16 @@ responses, falling back to the empirical mean when every weight
 vanishes) and a weighted-majority-vote classifier over labels
 ``{1, ..., M}``.
 
-One engine computes the weights of every path, per query or for a
-whole block of queries at once: :func:`_raw_weights` is the only place
-that computes bandwidths and the kernel product, :func:`_scaled` the
-only place that resolves a zero bandwidth, and :func:`_normalize`,
-:func:`_weighted_means` and :func:`_votes` the only row reducers. An
-excluded observation is handled by giving it distance inf, which puts
-it outside every kernel's support and outside every neighbour rank.
-The public per-query functions run the engine on a block of one row
-and reject a non-finite query covariate or site with ``DataError``;
-the held-out and grid-search code in :mod:`.evaluation` runs it on
-larger blocks, with the same result for each row bit for bit.
+One engine serves every path, per query or for a block of queries:
+:func:`_raw_weights` alone computes bandwidths and the kernel product,
+:func:`_scaled` alone resolves a zero bandwidth, and
+:func:`_weighted_means` and :func:`_votes` alone reduce raw weights, one
+dot product per row (and class), with each row's fallback (the mean or
+majority of the sites it keeps) from the caller. An excluded site gets
+distance inf, outside every kernel's support and neighbour rank. The
+per-query functions run the engine on a block of one row and reject a
+non-finite query or one that excludes every site; :mod:`.evaluation`
+runs it on larger blocks, with the same result for each row bit for bit.
 """
 
 from __future__ import annotations
@@ -255,45 +254,59 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return live
 
 
-def _weighted_means(
-    weights: np.ndarray, live: np.ndarray, y: np.ndarray, keep
-) -> np.ndarray:
-    """Per row, ``weights @ y``; rows without weight get the mean of ``y[keep]``."""
-    out = np.full(len(weights), y[keep].mean())
-    for i in np.flatnonzero(live):
-        # one dot product per row: a matrix-vector product sums in
-        # another order, and the result must not depend on the block
-        out[i] = weights[i] @ y
-    return out
+def _weighted_means(raw: np.ndarray, y: np.ndarray, fallback) -> np.ndarray:
+    """Per row, the mean of ``y`` under the raw weights; ``fallback`` where all vanish.
 
-
-def _votes(weights: np.ndarray, live: np.ndarray, labels: np.ndarray, keep) -> np.ndarray:
-    """Per row, the label with the largest summed weight.
-
-    Rows without weight get the most frequent label among
-    ``labels[keep]``. Ties break toward the smallest label.
+    ``fallback`` is a scalar or one value per row.
     """
-    classes = labels - 1
-    # with every site excluded, the empty count picks class 1
-    majority = np.argmax(np.bincount(classes[keep], minlength=1)) + 1
-    out = np.full(len(weights), majority, dtype=np.int64)
-    for i in np.flatnonzero(live):
-        out[i] = np.argmax(np.bincount(classes, weights=weights[i])) + 1
-    return out
+    totals = raw.sum(axis=1)
+    live = totals > 0.0
+    return np.where(live, np.vecdot(raw, y) / np.where(live, totals, 1.0), fallback)
+
+
+def _votes(raw: np.ndarray, labels: np.ndarray, fallback) -> np.ndarray:
+    """Per row, the label with the largest summed raw weight; ``fallback`` where all vanish.
+
+    Ties break toward the smallest label; ``fallback`` is a label or one
+    label per row.
+    """
+    members = labels == np.arange(1, labels.max() + 1)[:, None]
+    # one dot product per row and class: (rows, classes) scores
+    scores = np.vecdot(raw[:, None, :], members.astype(float))
+    return np.where(scores.any(axis=1), scores.argmax(axis=1) + 1, fallback)
+
+
+def _mean_of_kept(y: np.ndarray, excluded: np.ndarray) -> float:
+    """Mean of the responses not excluded; for one excluded site ``i``
+    the same bits as ``(y.sum() - y[i]) / (n - 1)``."""
+    return (y.sum() - y[excluded].sum()) / np.count_nonzero(~excluded)
+
+
+def _majority_of_kept(labels: np.ndarray, excluded: np.ndarray) -> int:
+    """Most frequent label among those not excluded, ties toward the smallest."""
+    return int(np.bincount(labels[~excluded]).argmax())
+
+
+def _excluded(n: int, exclude) -> np.ndarray:
+    """Mask of the ``exclude`` indices among ``n`` sites; ``ValueError`` if it keeps none."""
+    excluded = _exclusion_mask(n, exclude)
+    if excluded.all():
+        raise ValueError("no site left to weight: the data are empty or all excluded")
+    return excluded
 
 
 def _query_weights(data: SpatialDataset, s0, x, p, exclude):
-    """Raw weights of one query as a block of one row, and the kept sites."""
+    """Raw weights of one query as a block of one row, and the excluded sites."""
     x = _finite_query(x, "query covariate")
     if x.shape[0] != data.d:
         raise ValueError(f"query covariate has length {x.shape[0]}, expected {data.d}")
     s0 = _finite_query(s0, "query site")
-    excluded = _exclusion_mask(len(data), exclude)
+    excluded = _excluded(len(data), exclude)
     dx = distances_to(data.covariates, x)[None]
     ds = distances_to(data.sites.coords, s0)[None]
     dx[:, excluded] = np.inf
     ds[:, excluded] = np.inf
-    return _raw_weights(dx, ds, p), ~excluded
+    return _raw_weights(dx, ds, p), excluded
 
 
 def knn_weights(
@@ -323,8 +336,9 @@ def predict(data: SpatialDataset, s0, x, p, exclude=None) -> float:
     """
     if data.responses is None:
         raise ValueError("dataset has no responses to predict from")
-    raw, keep = _query_weights(data, s0, x, p, exclude)
-    return float(_weighted_means(raw, _normalize(raw), data.responses, keep)[0])
+    raw, excluded = _query_weights(data, s0, x, p, exclude)
+    y = data.responses
+    return float(_weighted_means(raw, y, _mean_of_kept(y, excluded))[0])
 
 
 def nw_weights(
@@ -350,7 +364,7 @@ def regress(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
     """
     if data.responses is None:
         raise ValueError("dataset has no responses to regress on")
-    raw, keep = _query_weights(data, s0, x, p, exclude)
+    raw, excluded = _query_weights(data, s0, x, p, exclude)
     prod = raw[0]
     H = knn_bandwidth(data.covariates, x, p.k, exclude=exclude).bandwidth
     h = spatial_bandwidth(data.sites, s0, p.k_prime, exclude=exclude).bandwidth
@@ -360,8 +374,8 @@ def regress(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
         const = 1.0
     f_hat = const * prod.sum()
     if f_hat == 0.0:
-        return float(data.responses[keep].mean())
-    g_hat = const * (prod @ data.responses)
+        return float(_mean_of_kept(data.responses, excluded))
+    g_hat = const * np.vecdot(prod, data.responses)
     return float(g_hat / f_hat)
 
 
@@ -382,5 +396,5 @@ def classify(data: SpatialDataset, s0, x, p, *, exclude=None) -> int:
     toward the smallest label.
     """
     labels = _check_labels(data)
-    raw, keep = _query_weights(data, s0, x, p, exclude)
-    return int(_votes(raw, _normalize(raw), labels, keep)[0])
+    raw, excluded = _query_weights(data, s0, x, p, exclude)
+    return int(_votes(raw, labels, _majority_of_kept(labels, excluded))[0])

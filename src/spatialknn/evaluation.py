@@ -9,25 +9,23 @@ used to compare methods, and the replication benchmark that pits the
 adaptive-bandwidth method against the fixed-bandwidth one over freshly
 simulated datasets.
 
-Weights come from the estimator module's one engine. Leave-one-out is
-the query block "every site, its own column excluded", with rows playing
-the role of held-out sites and each site's own column at distance inf.
-Every leave-one-out quantity is row-local (a row's distances,
-bandwidths, kernel values, weights and weighted mean or vote), so a
-pass walks the sites in blocks of rows: memory is a few (rows, n)
-matrices, never (n, n) ones, and a dataset small enough for one block
-runs exactly the whole-matrix computation. It agrees with per-site calls
-to the estimators (``exclude={i}``); the tests check that equivalence
-directly. Its two reducers, a matrix product for the weighted means and
-one for the class votes, are the only ones outside the engine: they
-produce the reported scores. One grid search covers every (covariate
-kernel, site kernel) pair of its grid: within a row block, the
-distances, the bandwidths and each covariate kernel's matrices are
-computed once and shared by all pairs; each grid point's loss is summed
-over the blocks, and the search reports the winner of every pair as
-well as the overall one. Held-out test sites are weighted in blocks of
-rows and reduced by the engine's row reducers, so each result equals the
-per-site call bit for bit.
+Weights and their reduction come from the estimator module's one
+engine. Leave-one-out is the query block "every site, its own column
+excluded", with rows playing the role of held-out sites and each site's
+own column at distance inf. Every leave-one-out quantity is row-local
+(a row's distances, bandwidths, kernel values, weights and weighted
+mean or vote), so a pass walks the sites in blocks of rows: memory is a
+few (rows, n) matrices, never (n, n) ones. The engine's reducers get
+each row's fallback from the other sites, so every leave-one-out row
+equals the per-site estimator call with ``exclude={i}`` bit for bit, in
+a block of any height; held-out test sites are weighted in blocks of
+rows and equal the per-site calls the same way. One grid search covers
+every (covariate kernel, site kernel) pair of its grid: within a row
+block, the distances, the bandwidths and each covariate kernel's
+matrices are computed once and shared by all pairs; each grid point's
+loss is summed over the blocks (a sum of absolute errors can so round
+differently at another block height; a count of misses cannot), and the
+search reports the winner of every pair as well as the overall one.
 
 Replications simulate many datasets on one shared lattice, and each is
 tuned by two searches after its default grids. So what depends only on
@@ -58,14 +56,16 @@ from .estimator import (
     NwParams,
     SpatialDataset,
     _check_labels,
-    _normalize,
+    _excluded,
+    _majority_of_kept,
+    _mean_of_kept,
     _raw_weights,
     _scaled,
     _votes,
     _weighted_means,
 )
 from .kernels import KERNEL_NAMES, eval_scalar, validate_kernel
-from .lattice import SiteSet, _distance_rows, distances_between
+from .lattice import SiteSet, distances_between
 from .neighbors import (
     _POSITIVE_SITES,
     _check_rows,
@@ -322,7 +322,7 @@ def _loo_rows(owner, coords: np.ndarray, rows: slice, key: str) -> np.ndarray:
     """
 
     def block():
-        dist = _distance_rows(coords, rows)
+        dist = distances_between(coords, coords[rows])
         own = np.arange(rows.stop - rows.start)
         dist[own, own + rows.start] = np.inf
         return dist
@@ -555,29 +555,18 @@ def _loo_weights(data: SpatialDataset, params):
         yield rows, _raw_weights(*_loo_distances(data, rows), params)
 
 
-def _loo_weighted_mean(weights: np.ndarray, y: np.ndarray, rows: slice) -> np.ndarray:
-    totals = weights.sum(axis=1)
-    live = totals > 0.0
-    if live.all():
-        # no row selection, which would copy the whole block
-        return (weights @ y) / totals
-    out = np.empty(len(weights))
-    out[live] = (weights[live] @ y) / totals[live]
-    # all-zero weight rows fall back to the mean of the other sites
-    out[~live] = (y.sum() - y[rows][~live]) / (y.size - 1)
-    return out
+def _loo_means(weights: np.ndarray, y: np.ndarray, rows: slice) -> np.ndarray:
+    """Leave-one-out weighted means of the sites in ``rows``; a row without
+    weight gets the mean of the other sites' responses."""
+    return _weighted_means(weights, y, (y.sum() - y[rows]) / (y.size - 1))
 
 
-def _loo_vote(weights: np.ndarray, onehot: np.ndarray, rows: slice) -> np.ndarray:
-    scores = weights @ onehot
-    pred = scores.argmax(axis=1)
-    # weights are non-negative and every site votes for one class, so a
-    # row's scores are all zero exactly when its weights are
-    empty = ~scores.any(axis=1)
-    if empty.any():
-        counts = onehot.sum(axis=0)
-        pred[empty] = (counts[None, :] - onehot[rows][empty]).argmax(axis=1)
-    return (pred + 1).astype(np.int64)
+def _loo_votes(weights: np.ndarray, labels: np.ndarray, rows: slice) -> np.ndarray:
+    """Leave-one-out votes of the sites in ``rows``; an empty vote goes to
+    the most frequent label among the other sites."""
+    own = labels[rows, None] == np.arange(1, labels.max() + 1)
+    majority = (np.bincount(labels - 1) - own).argmax(axis=1) + 1
+    return _votes(weights, labels, majority)
 
 
 def loo_predictions(data: SpatialDataset, params) -> np.ndarray:
@@ -591,15 +580,8 @@ def loo_predictions(data: SpatialDataset, params) -> np.ndarray:
         raise ValueError("leave-one-out prediction needs responses")
     out = np.empty(len(data))
     for rows, weights in _loo_weights(data, params):
-        out[rows] = _loo_weighted_mean(weights, data.responses, rows)
+        out[rows] = _loo_means(weights, data.responses, rows)
     return out
-
-
-def _label_onehot(data: SpatialDataset) -> np.ndarray:
-    labels = _check_labels(data)
-    onehot = np.zeros((len(data), data.n_classes))
-    onehot[np.arange(len(data)), labels - 1] = 1.0
-    return onehot
 
 
 def loo_labels(data: SpatialDataset, params) -> np.ndarray:
@@ -608,10 +590,10 @@ def loo_labels(data: SpatialDataset, params) -> np.ndarray:
     Ties and empty votes resolve exactly as in
     :func:`~spatialknn.estimator.classify`.
     """
-    onehot = _label_onehot(data)
+    labels = _check_labels(data)
     out = np.empty(len(data), dtype=np.int64)
     for rows, weights in _loo_weights(data, params):
-        out[rows] = _loo_vote(weights, onehot, rows)
+        out[rows] = _loo_votes(weights, labels, rows)
     return out
 
 
@@ -746,17 +728,16 @@ def cv_select(data: SpatialDataset, grid: ParamGrid, method: str = "knn"):
     y = data.responses
 
     def by_abs_error(weights, rows):
-        return float(np.abs(y[rows] - _loo_weighted_mean(weights, y, rows)).sum())
+        return float(np.abs(y[rows] - _loo_means(weights, y, rows)).sum())
 
     return _best(_grid_search(data, grid, method, by_abs_error), method)
 
 
 def _classification_search(data, grid, method) -> dict:
-    onehot = _label_onehot(data)
-    truth = data.labels
+    truth = _check_labels(data)
 
     def misses(weights, rows):
-        return int(np.count_nonzero(_loo_vote(weights, onehot, rows) != truth[rows]))
+        return int(np.count_nonzero(_loo_votes(weights, truth, rows) != truth[rows]))
 
     return _grid_search(data, grid, method, misses)
 
@@ -799,22 +780,15 @@ _HOLDOUT_BLOCK = 32
 
 
 def _holdout_blocks(train: SpatialDataset, test: SpatialDataset, params):
-    """Normalized weights of the test sites against the training data, by row block.
-
-    Yields ``(rows, weights, live)``: the slice of test sites, their
-    two-kernel weights from :func:`~spatialknn.estimator._raw_weights`
-    (one row per test site, normalized by
-    :func:`~spatialknn.estimator._normalize`) and which rows carry any
-    weight.
-    """
+    """Yields ``(rows, weights)``: a slice of test sites and their raw
+    weights against the training data, one row per test site."""
     if test.d != train.d:
         raise ValueError(f"query covariate has length {test.d}, expected {train.d}")
     for start in range(0, len(test), _HOLDOUT_BLOCK):
         rows = slice(start, start + _HOLDOUT_BLOCK)
         dx = distances_between(train.covariates, test.covariates[rows])
         ds = distances_between(train.sites.coords, test.sites.coords[rows])
-        weights = _raw_weights(dx, ds, params)
-        yield rows, weights, _normalize(weights)
+        yield rows, _raw_weights(dx, ds, params)
 
 
 def holdout_predictions(train: SpatialDataset, test: SpatialDataset, params) -> np.ndarray:
@@ -825,9 +799,11 @@ def holdout_predictions(train: SpatialDataset, test: SpatialDataset, params) -> 
     """
     if train.responses is None:
         raise ValueError("dataset has no responses to predict from")
+    y = train.responses
+    fallback = _mean_of_kept(y, _excluded(len(y), None))
     out = np.empty(len(test))
-    for rows, weights, live in _holdout_blocks(train, test, params):
-        out[rows] = _weighted_means(weights, live, train.responses, slice(None))
+    for rows, weights in _holdout_blocks(train, test, params):
+        out[rows] = _weighted_means(weights, y, fallback)
     return out
 
 
@@ -838,9 +814,10 @@ def holdout_labels(train: SpatialDataset, test: SpatialDataset, params) -> np.nd
     and empty votes included.
     """
     labels = _check_labels(train)
+    majority = _majority_of_kept(labels, _excluded(len(labels), None))
     out = np.empty(len(test), dtype=np.int64)
-    for rows, weights, live in _holdout_blocks(train, test, params):
-        out[rows] = _votes(weights, live, labels, slice(None))
+    for rows, weights in _holdout_blocks(train, test, params):
+        out[rows] = _votes(weights, labels, majority)
     return out
 
 

@@ -3,7 +3,8 @@
 Sites live in ``R^N`` and are either nodes of a regular lattice, stored
 with normalized coordinates ``(i_1/n_1, ..., i_N/n_N)``, or irregular
 points (e.g. survey stations with raw longitude/latitude). Both are held
-in a :class:`SiteSet`; all distances are Euclidean.
+in a :class:`SiteSet`. All distances are Euclidean, from one formula
+(:func:`distances_between`) that depends on the two points alone.
 
 A :class:`SiteSet` is immutable, so what depends only on its sites (the
 evaluation module's neighbour counts, default site-bandwidth grid and,
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .errors import DataError
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -133,8 +136,12 @@ def distances_to(coords, point) -> np.ndarray:
 def distances_between(coords, points) -> np.ndarray:
     """Euclidean distances from each row of ``points`` to each row of ``coords``.
 
-    Row ``i`` of the ``(len(points), len(coords))`` result is
-    ``distances_to(coords, points[i])``.
+    Squared differences are summed one coordinate at a time, so row
+    ``i`` of the ``(len(points), len(coords))`` result is
+    ``distances_to(coords, points[i])`` bit for bit, and up to 7
+    coordinates it equals numpy's vector norm of the differences, which
+    sums in the same order. Finite inputs whose distance overflows raise
+    ``DataError``.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -143,22 +150,22 @@ def distances_between(coords, points) -> np.ndarray:
             f"dimension mismatch: points are {coords.shape[1]}-D, "
             f"queries are {points.shape[1]}-D"
         )
-    return np.linalg.norm(coords[None, :, :] - points[:, None, :], axis=2)
+    with np.errstate(over="ignore"):  # an overflow raises DataError below
+        squared = points[:, :1] - coords[:, 0]
+        squared *= squared
+        for j in range(1, coords.shape[1]):
+            diff = points[:, j, None] - coords[:, j]
+            diff *= diff
+            squared += diff
+    if not np.isfinite(squared).all() and np.isfinite(coords).all() and np.isfinite(points).all():
+        raise DataError(
+            "squared distances overflow to inf: coordinate differences "
+            "must stay below about 1e154"
+        )
+    # in place: one (rows, n) array fewer at the peak, the same bits
+    return np.sqrt(squared, out=squared)
 
 
 def pairwise_distances(coords) -> np.ndarray:
     """Dense matrix of Euclidean distances between all rows of ``coords``."""
-    return _distance_rows(coords, slice(None))
-
-
-def _distance_rows(coords, rows: slice) -> np.ndarray:
-    """The ``rows`` of :func:`pairwise_distances`, equal to them bit for bit.
-
-    Lets a caller walk the distance matrix a block of rows at a time
-    without ever holding all of it.
-    """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    diff = coords[rows, None, :] - coords[None, :, :]
-    squared = np.einsum("ijk,ijk->ij", diff, diff)
-    # in place: one (rows, n) array fewer at the peak, the same bits
-    return np.sqrt(squared, out=squared)
+    return distances_between(coords, coords)

@@ -2,14 +2,15 @@
 
 Every leave-one-out pass walks the sites in row blocks that fit
 ``evaluation._COVARIATE_BLOCK_BYTES``. These tests force blocks of 1, 3,
-7 and n rows and check what a grid search keeps whatever the block
-height: its errors, its scores up to rounding, and its winners wherever
-rounding does not decide them. A row's weights are the same bits in any
-block, but the reducers' matrix products may round a row differently
-inside blocks of other heights, and a grid point's loss is summed block
-by block. So when two grid points tie up to rounding (all sites
-coincide, say, and every kernel pair predicts the mean of the others),
-the block height can pick either of them, as the BLAS thread count can.
+7 and n rows. A row's distances, weights, weighted mean and vote are
+the same bits in a block of any height, so per-site predictions and
+labels are exact, and so are the classification searches, whose losses
+are counts of misses. The only block dependence left is the summed
+regression loss: a grid point's absolute errors are added block by
+block, so its score is the same up to rounding, and when two grid
+points tie up to rounding (all sites coincide, say, and every kernel
+pair predicts the mean of the others) the block height can pick either
+of them.
 """
 
 import itertools
@@ -150,12 +151,37 @@ def test_grid_search_does_not_depend_on_block_rows(method, case):
     if isinstance(results[-1][0], str):
         assert all(got == results[-1] for got in results)
         return
+    assert all(pairs == results[-1][1] for _, pairs in results)
     maes, misses = whole_scores(data, grid, method)
     for (params, score), pairs in results:
         assert_near_best(params, score, maes)
         for (k1, k2), (params, rate) in pairs.items():
             pair_misses = {p: s for p, s in misses.items() if (p.k1, p.k2) == (k1, k2)}
             assert_near_best(params, 1.0 - rate, pair_misses)
+
+
+@PROPERTY
+@given(case=searches())
+def test_loo_rows_do_not_depend_on_block_rows(case):
+    data, grid = case
+    n = len(data)
+    points = (
+        KnnParams(grid.k_values[0], grid.k_prime_values[0], grid.k1_specs[0], grid.k2_specs[0]),
+        NwParams(grid.h_values[0], grid.rho_values[0], grid.k1_specs[-1], grid.k2_specs[-1]),
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for p in points:
+            results = []
+            for rows in BLOCK_ROWS + (n,):
+                monkeypatch.setattr(evaluation, "_COVARIATE_BLOCK_BYTES", 8 * n * rows)
+                assert evaluation._row_blocks(n, 1)[0] == slice(0, min(rows, n))
+                results.append(
+                    (
+                        outcome(lambda: loo_predictions(data, p).tobytes()),
+                        outcome(lambda: loo_labels(data, p).tobytes()),
+                    )
+                )
+            assert all(got == results[-1] for got in results)
 
 
 def test_site_rank_error_in_a_later_block_matches_one_block(monkeypatch):
@@ -206,7 +232,7 @@ def test_loo_fallback_rows_in_later_blocks(monkeypatch):
         for i in range(n)
     ]
     want = [predict(data, data.sites.coords[i], data.covariates[i], p, exclude={i}) for i in range(n)]
-    np.testing.assert_allclose(loo_predictions(data, p), want, rtol=0, atol=1e-12)
+    assert loo_predictions(data, p).tobytes() == np.array(want).tobytes()
 
 
 def test_default_nw_grid_does_not_depend_on_block_rows(monkeypatch):

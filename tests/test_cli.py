@@ -241,6 +241,33 @@ def test_cv_under_two_sites_is_an_error(tmp_path, capsys, rows, grid):
     assert code == 1 and err == "error: leave-one-out needs at least 2 sites\n"
 
 
+@pytest.mark.parametrize(
+    "grid", [CV_GRID, "[grid]\nh_values = 1.0\nrho_values = 1.0\n", ""],
+    ids=["knn", "nw", "nw default grid"],
+)
+def test_cv_distance_overflow_is_a_data_error(tmp_path, capsys, grid):
+    # six covariates of +-1e300 among 20 sites: their squared differences
+    # overflowed to inf, which reads as "excluded", and the run failed on
+    # a rank ("k=6 out of range"), on an empty bandwidth scale, or reported
+    # a search that ignored those sites
+    rows = [
+        f"{float(i % 5)!r},{float(i // 5)!r},{x!r},{float(i)!r}"
+        for i, x in enumerate([1e300, -1e300] * 3 + [0.1 * i for i in range(14)])
+    ]
+    data_path = write(tmp_path, "d.csv", "s1,s2,x,y\n" + "\n".join(rows) + "\n")
+    method = "knn" if "k_values" in grid else "nw"
+    cfg = write(
+        tmp_path,
+        "cv.cfg",
+        f"[run]\nmode = cv\nmethod = {method}\n\n"
+        f"[data]\npath = {data_path}\nsite_columns = s1, s2\n"
+        "covariate_columns = x\nresponse_column = y\n\n" + grid,
+    )
+    code, _, err = run(capsys, "cv", "--config", cfg)
+    assert code == 2
+    assert err.startswith("data error: ") and "overflow" in err and err.count("\n") == 1
+
+
 def test_cv_prints_to_stdout_without_output(tmp_path, capsys):
     data_path = simulate(tmp_path, "d.csv")
     cfg = cv_config(tmp_path, data_path)

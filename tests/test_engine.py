@@ -9,6 +9,8 @@ and check that:
 
 - each row of a block equals the per-query call at that row bit for bit,
   exclusions (negative and repeated indices included) and errors too;
+- each leave-one-out row equals the per-site call with ``exclude={i}``
+  bit for bit, fallback rows included;
 - the per-query weights match the loop oracle of ``test_estimator``;
 - the held-out helpers equal per-query calls bit for bit.
 """
@@ -23,6 +25,8 @@ from spatialknn.estimator import (
     KnnParams,
     NwParams,
     SpatialDataset,
+    _majority_of_kept,
+    _mean_of_kept,
     _normalize,
     _raw_weights,
     _votes,
@@ -32,7 +36,12 @@ from spatialknn.estimator import (
     nw_weights,
     predict,
 )
-from spatialknn.evaluation import holdout_labels, holdout_predictions, loo_predictions
+from spatialknn.evaluation import (
+    holdout_labels,
+    holdout_predictions,
+    loo_labels,
+    loo_predictions,
+)
 from spatialknn.kernels import KERNEL_NAMES
 from spatialknn.lattice import SiteSet, distances_between
 from spatialknn.neighbors import knn_bandwidth, spatial_bandwidth
@@ -118,17 +127,38 @@ def test_block_rows_equal_per_query_calls(case):
                 assert query_error == str(exc)
                 return
         pytest.fail(f"block raised {exc}, no single query did")
-    live = _normalize(raw)
-    keep = ~excluded
-    means = _weighted_means(raw, live, data.responses, keep)
-    votes = _votes(raw, live, data.labels, keep)
+    means = _weighted_means(raw, data.responses, _mean_of_kept(data.responses, excluded))
+    votes = _votes(raw, data.labels, _majority_of_kept(data.labels, excluded))
+    normalized = raw.copy()
+    live = _normalize(normalized)
     for i, (s0, x) in enumerate(queries(sites, covariates)):
         w = weights_fn(data, s0, x, p, exclude=exclude)
-        assert w.weights.tobytes() == raw[i].tobytes()
+        assert w.weights.tobytes() == normalized[i].tobytes()
         assert w.normalized == live[i]
         mean = np.float64(predict(data, s0, x, p, exclude=exclude))
         assert mean.tobytes() == means[i].tobytes()
         assert classify(data, s0, x, p, exclude=exclude) == votes[i]
+
+
+@PROPERTY
+@given(cases())
+def test_loo_rows_equal_per_site_calls(case):
+    data, _, _, p, _ = case
+    sites, covariates = data.sites.coords, data.covariates
+
+    def per_site(fn):
+        return [fn(data, sites[i], covariates[i], p, exclude={i}) for i in range(len(data))]
+
+    loo_error = error_text(lambda: loo_predictions(data, p))
+    if loo_error is not None:
+        # the pass reports the error of its first failing site
+        assert error_text(lambda: loo_labels(data, p)) == loo_error
+        assert error_text(lambda: per_site(predict)) == loo_error
+        return
+    want = np.array(per_site(predict))
+    assert loo_predictions(data, p).tobytes() == want.tobytes()
+    want = np.array(per_site(classify), dtype=np.int64)
+    assert loo_labels(data, p).tobytes() == want.tobytes()
 
 
 @PROPERTY

@@ -129,6 +129,31 @@ def test_excluded_sites_get_zero_weight():
     assert w.normalized
 
 
+@pytest.mark.parametrize("p", [KnnParams(k=1, k_prime=1), NwParams(h=1.0, rho=1.0)])
+def test_excluding_every_site_is_an_error(p):
+    # labels {2, 3}: classify returned class 1, which no site carries, and
+    # predict returned nan with RuntimeWarnings
+    data = SpatialDataset(
+        sites=SiteSet(np.array([[0.0], [1.0], [2.0], [3.0]])),
+        covariates=np.array([0.0, 1.0, 2.0, 3.0]),
+        responses=np.array([5.0, 7.0, 9.0, 11.0]),
+        labels=np.array([2, 3, 2, 3]),
+    )
+    everything = {0, 1, 2, 3}
+    calls = [
+        lambda: predict(data, [0.5], [0.5], p, exclude=everything),
+        lambda: classify(data, [0.5], [0.5], p, exclude=everything),
+        lambda: (knn_weights if isinstance(p, KnnParams) else nw_weights)(
+            data, [0.5], [0.5], p, exclude=everything
+        ),
+    ]
+    if isinstance(p, KnnParams):
+        calls.append(lambda: regress(data, [0.5], [0.5], p, exclude=everything))
+    for call in calls:
+        with pytest.raises(ValueError, match="no site left to weight"):
+            call()
+
+
 def test_predict_is_weighted_mean():
     rng = np.random.default_rng(8)
     data = random_dataset(rng, n=12)

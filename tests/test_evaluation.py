@@ -374,7 +374,7 @@ def test_loo_predictions_match_per_site_estimator(duplicates):
             predict(data, data.sites.coords[i], data.covariates[i], p, exclude={i})
             for i in range(n)
         ]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_loo_predictions_match_per_site_nw():
@@ -392,7 +392,7 @@ def test_loo_predictions_match_per_site_nw():
             predict(data, data.sites.coords[i], data.covariates[i], p, exclude={i})
             for i in range(len(data))
         ]
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_loo_fallback_rows_use_mean_of_others():
@@ -409,7 +409,7 @@ def test_loo_fallback_rows_use_mean_of_others():
     got = loo_predictions(data, p)
     y = data.responses
     want = [(y.sum() - y[i]) / (n - 1) for i in range(n)]
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_loo_two_site_indicator_example():
@@ -921,6 +921,16 @@ def test_holdout_errors_match_per_site_calls():
     with pytest.raises(ValueError, match="query covariate has length 2"):
         holdout_labels(train, wide, KnnParams(k=3, k_prime=3))
     assert holdout_predictions(train, test.subset([]), KnnParams(k=3, k_prime=3)).shape == (0,)
+    # no training site: an nw pass weighted nothing and fell back to the
+    # mean of nothing
+    empty, p = train.subset([]), NwParams(h=1.0, rho=1.0)
+    for call in (
+        lambda: predict(empty, test.sites.coords[0], test.covariates[0], p),
+        lambda: holdout_predictions(empty, test, p),
+        lambda: holdout_labels(empty, test, p),
+    ):
+        with pytest.raises(ValueError, match="no site left to weight"):
+            call()
 
 
 def test_holdout_labels_round_exact_ties_like_classify():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from spatialknn.errors import DataError
 from spatialknn.lattice import (
     SiteSet,
-    _distance_rows,
     distances_between,
     distances_to,
     make_lattice,
@@ -153,4 +156,34 @@ def test_distance_rows_equal_pairwise_rows_bit_for_bit(d):
     for rows_per_block in (1, 3, 7, 23):
         for start in range(0, 23, rows_per_block):
             rows = slice(start, min(start + rows_per_block, 23))
-            assert _distance_rows(coords, rows).tobytes() == whole[rows].tobytes()
+            got = distances_between(coords, coords[rows])
+            assert got.tobytes() == whole[rows].tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    data=st.integers(1, 7).flatmap(
+        lambda d: st.tuples(
+            arrays(float, st.tuples(st.integers(1, 12), st.just(d)), elements=st.floats(-1e6, 1e6)),
+            arrays(float, st.tuples(st.integers(1, 5), st.just(d)), elements=st.floats(-1e6, 1e6)),
+        )
+    )
+)
+def test_distances_equal_linalg_norm_row_by_row(data):
+    # one coordinate at a time in coordinate order is the order in which
+    # np.linalg.norm sums up to 7 squares, so the bits agree
+    coords, points = data
+    got = distances_between(coords, points)
+    for i, point in enumerate(points):
+        want = np.linalg.norm(coords - point, axis=1)
+        assert got[i].tobytes() == want.tobytes()
+
+
+def test_distance_overflow_of_finite_inputs_raises():
+    big = np.array([[1e300, 0.0], [-1e300, 0.0], [0.0, 0.0]])
+    with pytest.raises(DataError, match="overflow"):
+        pairwise_distances(big)
+    with pytest.raises(DataError, match="overflow"):
+        distances_to(big, [0.0, 0.0])
+    # non-finite inputs are the caller's to reject; inf stays inf
+    assert distances_to([[np.inf, 0.0]], [0.0, 0.0])[0] == np.inf
