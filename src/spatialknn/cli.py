@@ -27,7 +27,7 @@ from .dataio import (
     write_report,
 )
 from .errors import ConfigError, DataError, NumericalError
-from .estimator import NwParams
+from .estimator import NwParams, _responses_in_range
 from .evaluation import (
     BenchmarkCell,
     ParamGrid,
@@ -192,7 +192,8 @@ def cmd_predict(cfg: ExperimentConfig) -> str:
     params, cv_score = cv_select(train, grid, cfg.method)
     _progress(f"selected {_describe(params)} (training loo_mae {cv_score!r})")
     predictions = holdout_predictions(train, target, params)
-    err = mae(target.responses, predictions)
+    with _responses_in_range():
+        err = mae(target.responses, predictions)
     header = cfg.schema.site_columns + (cfg.schema.response_column, "prediction")
     rows = [
         tuple(target.sites.coords[i]) + (target.responses[i], predictions[i])

@@ -27,13 +27,14 @@ runs it on larger blocks, with the same result for each row bit for bit.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 from .kernels import eval_scalar, validate_kernel
-from .lattice import SiteSet, _Memo, distances_to
+from .lattice import SiteSet, distances_to
 from .neighbors import (
     _POSITIVE_SITES,
     _exclusion_mask,
@@ -46,7 +47,7 @@ from .neighbors import (
 
 
 @dataclass
-class SpatialDataset(_Memo):
+class SpatialDataset:
     """Sites with covariates and a response and/or class label per site.
 
     Parameters
@@ -68,8 +69,6 @@ class SpatialDataset(_Memo):
     At least one of ``responses``/``labels`` must be present; covariates
     and responses must be finite (``DataError`` otherwise). All arrays
     are copied and frozen; instances are safe to share across threads.
-    What the evaluation module derives from a small dataset's covariates
-    is kept in a private memo, which rebinding any field drops.
     """
 
     sites: SiteSet
@@ -112,10 +111,6 @@ class SpatialDataset(_Memo):
             lab = lab.astype(np.int64)
             lab.flags.writeable = False
             self.labels = lab
-
-    def __setattr__(self, name, value):
-        self.__dict__.pop("_memo", None)
-        object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.sites)
@@ -254,6 +249,30 @@ def _normalize(raw: np.ndarray) -> np.ndarray:
     return live
 
 
+# OpenBLAS splits a dot product of more than 10,000 entries across its
+# threads, so its last bits depend on the thread count. Longer rows are
+# summed in chunks of 10,000 columns, in order; shorter ones in one call.
+_DOT_CHUNK = 10_000
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.vecdot(a, b)``, with the same bits at any BLAS thread count."""
+    out = np.vecdot(a[..., :_DOT_CHUNK], b[..., :_DOT_CHUNK])
+    for i in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
+        out += np.vecdot(a[..., i : i + _DOT_CHUNK], b[..., i : i + _DOT_CHUNK])
+    return out
+
+
+@contextmanager
+def _responses_in_range():
+    """Raise ``DataError`` naming the responses if arithmetic on them overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise DataError("responses overflow float64 in a mean or an error sum") from None
+
+
 def _weighted_means(raw: np.ndarray, y: np.ndarray, fallback) -> np.ndarray:
     """Per row, the mean of ``y`` under the raw weights; ``fallback`` where all vanish.
 
@@ -261,7 +280,8 @@ def _weighted_means(raw: np.ndarray, y: np.ndarray, fallback) -> np.ndarray:
     """
     totals = raw.sum(axis=1)
     live = totals > 0.0
-    return np.where(live, np.vecdot(raw, y) / np.where(live, totals, 1.0), fallback)
+    with _responses_in_range():
+        return np.where(live, _row_dots(raw, y) / np.where(live, totals, 1.0), fallback)
 
 
 def _votes(raw: np.ndarray, labels: np.ndarray, fallback) -> np.ndarray:
@@ -272,14 +292,15 @@ def _votes(raw: np.ndarray, labels: np.ndarray, fallback) -> np.ndarray:
     """
     members = labels == np.arange(1, labels.max() + 1)[:, None]
     # one dot product per row and class: (rows, classes) scores
-    scores = np.vecdot(raw[:, None, :], members.astype(float))
+    scores = _row_dots(raw[:, None, :], members.astype(float))
     return np.where(scores.any(axis=1), scores.argmax(axis=1) + 1, fallback)
 
 
 def _mean_of_kept(y: np.ndarray, excluded: np.ndarray) -> float:
     """Mean of the responses not excluded; for one excluded site ``i``
     the same bits as ``(y.sum() - y[i]) / (n - 1)``."""
-    return (y.sum() - y[excluded].sum()) / np.count_nonzero(~excluded)
+    with _responses_in_range():
+        return (y.sum() - y[excluded].sum()) / np.count_nonzero(~excluded)
 
 
 def _majority_of_kept(labels: np.ndarray, excluded: np.ndarray) -> int:

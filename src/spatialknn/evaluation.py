@@ -32,11 +32,11 @@ tuned by two searches after its default grids. So what depends only on
 the sites (positive-distance neighbour counts, the default rho axis) is
 kept in the :class:`~spatialknn.lattice.SiteSet`'s memo, and a set
 whose default-grid search runs as one row block (627 sites or fewer)
-keeps its whole leave-one-out blocks too: the site distances and each
-k'-th neighbour site bandwidth in the site set's memo, the covariate
-distances in the dataset's, shared by its default nw grid and both
-searches. Kept values are computed exactly as a first call computes
-them, so results keep their bits; a larger set keeps nothing n²-sized.
+keeps its whole leave-one-out site distances and each k'-th neighbour
+site bandwidth there too, shared by every dataset on the lattice.
+Covariate distances change with each dataset and are computed per
+pass. Kept values are computed exactly as a first call computes them,
+so results keep their bits; a larger set keeps nothing n²-sized.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .estimator import (
     _majority_of_kept,
     _mean_of_kept,
     _raw_weights,
+    _responses_in_range,
     _scaled,
     _votes,
     _weighted_means,
@@ -192,25 +193,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     frac = d
     for m in range(1, 301):
         m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        frac *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        frac *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for coef in (even, odd):
+            d = 1.0 + coef * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + coef / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            frac *= delta
         if abs(delta - 1.0) < 1e-15:
             return frac
     raise NumericalError("incomplete beta continued fraction did not converge")
@@ -307,37 +301,26 @@ def _kept_whole(n: int, rows: slice) -> bool:
     """Whether ``rows`` are all ``n`` rows of a set whose default-grid
     search runs as one block (627 sites or fewer).
 
-    Such a set keeps its whole leave-one-out distance blocks, and what
-    derives from them, in its memo; a larger set keeps nothing n²-sized.
+    Such a site set keeps its leave-one-out site distances and site
+    bandwidths in its memo; a larger set keeps nothing n²-sized.
     """
     return rows == slice(0, n) and len(_row_blocks(n, _GRID_POINTS)) == 1
 
 
-def _loo_rows(owner, coords: np.ndarray, rows: slice, key: str) -> np.ndarray:
+def _loo_rows(coords: np.ndarray, rows: slice) -> np.ndarray:
     """Distances from the points in ``rows`` to every point of ``coords``,
-    each point's own column at inf.
-
-    A whole block that :func:`_kept_whole` allows is computed once and
-    kept, read-only, in ``owner``'s memo under ``key``.
-    """
-
-    def block():
-        dist = distances_between(coords, coords[rows])
-        own = np.arange(rows.stop - rows.start)
-        dist[own, own + rows.start] = np.inf
-        return dist
-
-    if _kept_whole(len(coords), rows):
-        return owner._memoized(key, block)
-    return block()
-
-
-def _covariate_rows(data: SpatialDataset, rows: slice) -> np.ndarray:
-    return _loo_rows(data, data.covariates, rows, "loo_covariate_distances")
+    each point's own column at inf."""
+    dist = distances_between(coords, coords[rows])
+    own = np.arange(rows.stop - rows.start)
+    dist[own, own + rows.start] = np.inf
+    return dist
 
 
 def _site_rows(sites: SiteSet, rows: slice) -> np.ndarray:
-    return _loo_rows(sites, sites.coords, rows, "loo_site_distances")
+    """:func:`_loo_rows` of the sites, kept if :func:`_kept_whole` allows."""
+    if _kept_whole(len(sites), rows):
+        return sites._memoized("loo_site_distances", lambda: _loo_rows(sites.coords, rows))
+    return _loo_rows(sites.coords, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +441,7 @@ def default_grid(data: SpatialDataset, method: str) -> ParamGrid:
     cannot make the default grid infeasible.
 
     What depends only on the sites (the neighbour counts and the rho
-    axis) is computed once per :class:`~spatialknn.lattice.SiteSet`; a
-    small dataset's covariate distances are computed once and shared
-    with its leave-one-out searches.
+    axis) is computed once per :class:`~spatialknn.lattice.SiteSet`.
     """
     _check_method(method)
     n = len(data)
@@ -476,7 +457,7 @@ def default_grid(data: SpatialDataset, method: str) -> ParamGrid:
         )
     site_rows = functools.partial(_site_rows, data.sites)
     return ParamGrid(
-        h_values=_scale_grid(n, functools.partial(_covariate_rows, data), "covariate"),
+        h_values=_scale_grid(n, functools.partial(_loo_rows, data.covariates), "covariate"),
         rho_values=data.sites._memoized(
             "rho_values", lambda: _scale_grid(n, site_rows, "site")
         ),
@@ -508,7 +489,7 @@ def _complete_grid(grid: ParamGrid | None, data: SpatialDataset, method: str) ->
 def _loo_distances(data: SpatialDataset, rows: slice):
     """Covariate and site distances from the sites in ``rows`` to every
     site, each site's own column at distance inf (read-only when kept)."""
-    return _covariate_rows(data, rows), _site_rows(data.sites, rows)
+    return _loo_rows(data.covariates, rows), _site_rows(data.sites, rows)
 
 
 def _site_bandwidths(sites: SiteSet, ds: np.ndarray, rows: slice, k_primes) -> dict:
@@ -558,7 +539,8 @@ def _loo_weights(data: SpatialDataset, params):
 def _loo_means(weights: np.ndarray, y: np.ndarray, rows: slice) -> np.ndarray:
     """Leave-one-out weighted means of the sites in ``rows``; a row without
     weight gets the mean of the other sites' responses."""
-    return _weighted_means(weights, y, (y.sum() - y[rows]) / (y.size - 1))
+    with _responses_in_range():
+        return _weighted_means(weights, y, (y.sum() - y[rows]) / (y.size - 1))
 
 
 def _loo_votes(weights: np.ndarray, labels: np.ndarray, rows: slice) -> np.ndarray:
@@ -626,13 +608,13 @@ def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> 
     so that one covariate kernel's matrices fit in
     ``_COVARIATE_BLOCK_BYTES``. Within a block, the distances and
     bandwidth vectors are computed once (for a set scored as one block,
-    the distances once per dataset and the site distances and site
-    bandwidths once per site set); the scaled distances are rebuilt
-    from the bandwidths when a kernel needs them. Covariate kernels are
-    taken in chunks of as many as fit in the budget (at least one):
-    every covariate-kernel matrix is evaluated once per block, and every
-    site-kernel matrix once per chunk, so a grid whose covariate matrices
-    all fit evaluates each matrix once per block.
+    the site distances and site bandwidths once per site set); the
+    scaled distances are rebuilt from the bandwidths when a kernel needs
+    them. Covariate kernels are taken in chunks of as many as fit in the
+    budget (at least one): every covariate-kernel matrix is evaluated
+    once per block, and every site-kernel matrix once per chunk, so a
+    grid whose covariate matrices all fit evaluates each matrix once per
+    block.
     """
     _check_method(method)
     if len(data) < 2:
@@ -646,6 +628,7 @@ def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> 
     losses = np.zeros((len(k1s), len(k2s), len(main_vals), len(aux_vals)))
 
     def score_rows(rows):
+        scores = np.empty_like(losses)
         dx, ds = _loo_distances(data, rows)
         if method == "knn":
             h1 = {k: _row_bandwidths(dx, k) for k in main_vals}
@@ -680,12 +663,15 @@ def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> 
                     m2 = eval_scalar(k2, scaled2(aux))
                     for i1, i_main, m1 in block:
                         loss = scorer(np.multiply(m1, m2, out=weights), rows)
-                        losses[i1, i2, i_main, i_aux] += loss
+                        scores[i1, i2, i_main, i_aux] = loss
                     m2 = None  # released before the next one is built
+        return scores
 
     n = len(data)
     for rows in _row_blocks(n, len(main_vals)):
-        score_rows(rows)
+        scores = score_rows(rows)
+        with _responses_in_range():  # only a sum of absolute errors can overflow
+            losses += scores
     return {
         (k1, k2): min(
             (float(losses[i1, i2, i_main, i_aux]) / n, main, aux)
@@ -728,7 +714,8 @@ def cv_select(data: SpatialDataset, grid: ParamGrid, method: str = "knn"):
     y = data.responses
 
     def by_abs_error(weights, rows):
-        return float(np.abs(y[rows] - _loo_means(weights, y, rows)).sum())
+        with _responses_in_range():
+            return float(np.abs(y[rows] - _loo_means(weights, y, rows)).sum())
 
     return _best(_grid_search(data, grid, method, by_abs_error), method)
 

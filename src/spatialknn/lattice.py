@@ -8,11 +8,11 @@ in a :class:`SiteSet`. All distances are Euclidean, from one formula
 
 A :class:`SiteSet` is immutable, so what depends only on its sites (the
 evaluation module's neighbour counts, default site-bandwidth grid and,
-for a small set, leave-one-out site distances) is computed once and kept
-with it in a private, read-only memo that is never pickled or copied.
-:func:`make_lattice` hands out one shared :class:`SiteSet` per shape,
-keeping the last one built, so the datasets simulated on one lattice
-share that memo and a process holds at most one lattice's.
+for a small set, leave-one-out site distances and site bandwidths) is
+computed once and kept with it in the package's one memo, read-only
+and never pickled or copied. :func:`make_lattice` hands out one shared
+:class:`SiteSet` per shape, keeping the last one built, so the datasets
+simulated on one lattice share that memo; a process holds one at a time.
 """
 
 from __future__ import annotations
@@ -26,35 +26,8 @@ import numpy as np
 from .errors import DataError
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    out.flags.writeable = False
-    return out
-
-
-class _Memo:
-    """A private memo of values derived from an object's own arrays.
-
-    Each value is computed on first use and kept, read-only, for as long
-    as the object lives. It is never pickled or copied: an unpickled or
-    copied object starts with an empty memo.
-    """
-
-    def _memoized(self, key, compute):
-        memo = self.__dict__.setdefault("_memo", {})
-        if key not in memo:
-            value = compute()
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-            memo[key] = value
-        return memo[key]
-
-    def __getstate__(self):
-        return {name: v for name, v in self.__dict__.items() if name != "_memo"}
-
-
 @dataclass(frozen=True)
-class SiteSet(_Memo):
+class SiteSet:
     """Ordered collection of site coordinates.
 
     Parameters
@@ -78,15 +51,15 @@ class SiteSet(_Memo):
             raise ValueError("coords must be a 2-D array with at least one column")
         if coords.size and not np.all(np.isfinite(coords)):
             raise ValueError("site coordinates must be finite")
-        object.__setattr__(self, "coords", _frozen_array(coords))
+        coords = np.array(coords)  # a private, read-only copy
+        coords.flags.writeable = False
+        object.__setattr__(self, "coords", coords)
         if self.shape is not None:
             shape = tuple(int(n) for n in self.shape)
             if any(n < 1 for n in shape):
                 raise ValueError(f"lattice shape must be positive, got {shape}")
             if len(coords) != math.prod(shape):
-                raise ValueError(
-                    f"{len(coords)} sites do not fill a {shape} lattice"
-                )
+                raise ValueError(f"{len(coords)} sites do not fill a {shape} lattice")
             object.__setattr__(self, "shape", shape)
 
     def __len__(self) -> int:
@@ -96,6 +69,19 @@ class SiteSet(_Memo):
     def ndim(self) -> int:
         """Dimension N of the site space."""
         return self.coords.shape[1]
+
+    def _memoized(self, key, compute):
+        """``compute()``, on first use only; kept read-only while the set lives."""
+        memo = self.__dict__.setdefault("_memo", {})
+        if key not in memo:
+            memo[key] = value = compute()
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return memo[key]
+
+    def __getstate__(self):
+        # an unpickled or copied set starts with an empty memo
+        return {name: v for name, v in self.__dict__.items() if name != "_memo"}
 
 
 def make_lattice(shape) -> SiteSet:

@@ -77,3 +77,46 @@ def test_classify_report_is_the_same_at_one_and_two_blas_threads(tmp_path):
     one, two = (report(tmp_path, t, "classify", str(cfg)) for t in ("1", "2"))
     assert one == two
     assert len(one.splitlines()) == 37
+
+
+HOLDOUT = """
+import sys
+import numpy as np
+from spatialknn.estimator import KnnParams, NwParams, SpatialDataset
+from spatialknn.evaluation import holdout_labels, holdout_predictions
+from spatialknn.lattice import SiteSet
+
+rng = np.random.default_rng(20000)
+def dataset(n):
+    return SpatialDataset(
+        sites=SiteSet(rng.uniform(size=(n, 2))),
+        covariates=rng.normal(size=(n, 2)),
+        responses=rng.normal(size=n),
+        labels=rng.integers(1, 4, size=n),
+    )
+train, test = dataset(20_000), dataset(40)
+for params in (NwParams(1.0, 1.0, "gaussian", "gaussian"), KnnParams(15_000, 15_000)):
+    sys.stdout.buffer.write(holdout_predictions(train, test, params).tobytes())
+    sys.stdout.buffer.write(holdout_labels(train, test, params).tobytes())
+"""
+
+
+def test_holdout_rows_of_20000_sites_are_the_same_at_one_and_two_blas_threads():
+    # OpenBLAS splits a dot product of more than 10,000 entries across
+    # its threads; the reducers take such rows in chunks of 10,000
+    def run(threads):
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", HOLDOUT], env=env, check=True, capture_output=True
+        )
+        return done.stdout
+
+    one, two = run("1"), run("2")
+    assert len(one) == 2 * 40 * 16
+    assert one == two

@@ -268,6 +268,55 @@ def test_cv_distance_overflow_is_a_data_error(tmp_path, capsys, grid):
     assert err.startswith("data error: ") and "overflow" in err and err.count("\n") == 1
 
 
+def response_file(tmp_path, name, responses):
+    """Sites on a 5-column grid with covariate 0.1 * i and the given responses."""
+    rows = [
+        f"{float(i % 5)!r},{float(i // 5)!r},{0.1 * i!r},{y!r}"
+        for i, y in enumerate(responses)
+    ]
+    return write(tmp_path, name, "s1,s2,x,y\n" + "\n".join(rows) + "\n")
+
+
+RESPONSE_OVERFLOW = "data error: responses overflow float64 in a mean or an error sum\n"
+
+
+@pytest.mark.parametrize("method", ["knn", "nw"])
+def test_cv_response_overflow_is_a_data_error(tmp_path, capsys, method):
+    # finite responses whose weighted means and errors overflowed: the run
+    # reported loo_mae=inf, warned and exited 0
+    data_path = response_file(tmp_path, "d.csv", [1e300, 1.7e308] * 5)
+    cfg = write(
+        tmp_path,
+        "cv.cfg",
+        f"[run]\nmode = cv\nmethod = {method}\n\n"
+        f"[data]\npath = {data_path}\nsite_columns = s1, s2\n"
+        "covariate_columns = x\nresponse_column = y\n",
+    )
+    code, out, err = run(capsys, "cv", "--config", cfg)
+    assert (code, out, err) == (2, "", RESPONSE_OVERFLOW)
+
+
+@pytest.mark.parametrize(
+    "train, target",
+    [([1e300, 1.7e308] * 5, [1.0] * 10), ([-1e307] * 10, [1.7e308] * 10)],
+    ids=["training means", "reported mae"],
+)
+def test_predict_response_overflow_is_a_data_error(tmp_path, capsys, train, target):
+    # the second case tunes and predicts finite values; only the reported
+    # MAE, |1.7e308 - -1e307| per site, overflows
+    train_path = response_file(tmp_path, "train.csv", train)
+    target_path = response_file(tmp_path, "target.csv", target)
+    cfg = write(
+        tmp_path,
+        "pred.cfg",
+        "[run]\nmode = predict\n\n"
+        f"[data]\npath = {train_path}\ntarget = {target_path}\n"
+        "site_columns = s1, s2\ncovariate_columns = x\nresponse_column = y\n",
+    )
+    code, out, err = run(capsys, "predict", "--config", cfg)
+    assert (code, out, err.splitlines(keepends=True)[-1]) == (2, "", RESPONSE_OVERFLOW)
+
+
 def test_cv_prints_to_stdout_without_output(tmp_path, capsys):
     data_path = simulate(tmp_path, "d.csv")
     cfg = cv_config(tmp_path, data_path)

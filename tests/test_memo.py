@@ -1,25 +1,28 @@
-"""What the evaluation module keeps between calls.
+"""What the evaluation module and the simulator keep between calls.
 
 A :class:`SiteSet` keeps what depends only on its sites (neighbour
 counts, the default rho axis and, for a set searched as one row block,
-its leave-one-out site distances and site bandwidths), and a
-:class:`SpatialDataset` keeps its leave-one-out covariate distances.
-These tests check that a warm memo gives the same bits as a cold one,
-that nothing kept can be written, that nothing kept outlives a change
-of the data it came from, that nothing kept is pickled, and that a
-process holds at most one lattice's site distances.
+its leave-one-out site distances and site bandwidths); a
+:class:`SpatialDataset` keeps nothing. These tests check that a warm
+memo gives the same bits as a cold one, that nothing kept can be
+written, that nothing kept outlives a change of the data it came from,
+that nothing kept is pickled, that a process holds at most one
+lattice's site distances, and that threads drawing datasets together
+get what one thread draws.
 """
 
 import copy
 import gc
 import pickle
-import tracemalloc
-from concurrent.futures import Future
+import sys
+import threading
+import weakref
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from spatialknn import evaluation, lattice
+from spatialknn import evaluation, lattice, simulate
 from spatialknn.estimator import KnnParams, NwParams, SpatialDataset
 from spatialknn.evaluation import (
     ParamGrid,
@@ -79,7 +82,7 @@ def test_warm_memo_gives_the_cold_results():
     cold = searches(fresh(data))
     assert searches(data) == cold
     # warm: the same dataset and sites again, then new data on the sites
-    assert memo(data) and memo(data.sites)
+    assert not memo(data) and memo(data.sites)
     assert searches(data) == cold
     other = simulated(seed=5)
     assert other.sites is data.sites
@@ -121,14 +124,12 @@ def test_kept_values_are_read_only():
     data = simulated()
     searches(data)
     loo_predictions(data, KnnParams(3, 4))
-    kept = list(memo(data).values()) + list(memo(data.sites).values())
-    arrays = [v for v in kept if isinstance(v, np.ndarray)]
-    # both distance blocks, the neighbour counts and the site bandwidths
-    assert len(arrays) == 3 + len(default_grid(data, "knn").k_prime_values)
+    assert "_memo" not in data.__dict__  # a dataset keeps nothing
+    arrays = [v for v in memo(data.sites).values() if isinstance(v, np.ndarray)]
+    # the site distances, the neighbour counts and the site bandwidths
+    assert len(arrays) == 2 + len(default_grid(data, "knn").k_prime_values)
     assert not any(a.flags.writeable for a in arrays)
-    dx, ds = evaluation._loo_distances(data, slice(0, len(data)))
-    with pytest.raises(ValueError, match="read-only"):
-        dx[0, 1] = 0.0
+    _, ds = evaluation._loo_distances(data, slice(0, len(data)))
     with pytest.raises(ValueError, match="read-only"):
         ds[0, 1] = 0.0
 
@@ -171,13 +172,12 @@ def test_no_stale_memo_after_rebinding_covariates():
 def test_pickles_and_copies_carry_no_memo():
     data = simulated()
     searches(data)
-    block = 8 * len(data) ** 2
-    for obj in (data, data.sites):
-        assert memo(obj)
-        blob = pickle.dumps(obj)
-        assert len(blob) < block
-        for clone in (pickle.loads(blob), copy.copy(obj), copy.deepcopy(obj)):
-            assert "_memo" not in clone.__dict__
+    sites = data.sites
+    assert memo(sites)
+    blob = pickle.dumps(sites)
+    assert len(blob) < 8 * len(data) ** 2
+    for clone in (pickle.loads(blob), copy.copy(sites), copy.deepcopy(sites)):
+        assert "_memo" not in clone.__dict__
     assert searches(pickle.loads(pickle.dumps(data))) == searches(fresh(data))
 
 
@@ -200,24 +200,49 @@ def test_rho_axis_does_not_depend_on_block_rows(monkeypatch):
 
 
 def test_replications_over_three_shapes_hold_one_site_block():
-    # any two of these lattices' site blocks exceed the bound below
-    shapes = ((22, 22), (23, 23), (24, 24))
-    blocks = [8 * (n * n) ** 2 for n, _ in shapes]
-    assert blocks[0] + blocks[1] > 1.25 * blocks[2]
-    for shape in shapes:  # the simulator's own caches, outside the trace
-        gen_dataset(DgpParams(shape=shape, a=5.0, sigma=0.1, seed=0))
+    # each lattice keeps its site block in its memo; the lattice cache
+    # holds the last shape only, so the earlier lattices are freed
+    shapes = ((6, 6), (7, 6), (7, 7))
+    kept = []
+    for shape in shapes:
+        benchmark_replications(shape, 5.0, 0.1, n_reps=2, base_seed=1)
+        sites = make_lattice(shape)
+        assert "loo_site_distances" in memo(sites)
+        kept.append(weakref.ref(sites))
+    del sites
     gc.collect()
-    tracemalloc.start()
+    assert [ref() is None for ref in kept] == [True, True, False]
+
+
+def test_threads_drawing_a_fresh_shape_get_the_serial_arrays():
+    # 91 sites: below the sizes at which BLAS splits its work, so the
+    # threads' own draws do not depend on how many run at once
+    shape = (13, 7)
+    params = [DgpParams(shape=shape, a=5.0, sigma=2.0, seed=s) for s in range(4)]
+    for cached in (simulate._grid_distance_matrix, simulate._covariance_factor):
+        cached.cache_clear()
+    start = threading.Barrier(len(params))
+
+    def draw(p):
+        start.wait(timeout=60)
+        return gen_dataset(p)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more thread switches inside the cache misses
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        for shape in shapes:
-            benchmark_replications(shape, 5.0, 0.1, n_reps=2, base_seed=1)
-        gc.collect()
-        held = tracemalloc.get_traced_memory()[0] - before
+        with ThreadPoolExecutor(max_workers=len(params)) as pool:
+            drawn = list(pool.map(draw, params, timeout=120))
     finally:
-        tracemalloc.stop()
-    # the last lattice keeps its block, the two before it nothing
-    assert blocks[2] <= held < 1.25 * blocks[2]
+        sys.setswitchinterval(switch)
+    kept = [simulate._grid_distance_matrix(shape)] + [
+        simulate._covariance_factor(shape, variance, 3.0) for variance in (5.0, 2.0, 0.1)
+    ]
+    assert simulate._covariance_factor.cache_info().currsize == 3
+    assert not any(a.flags.writeable for a in kept)
+    for p, data in zip(params, drawn):
+        serial = gen_dataset(p)
+        np.testing.assert_array_equal(data.covariates, serial.covariates)
+        np.testing.assert_array_equal(data.responses, serial.responses)
 
 
 class RecordingPool:
