@@ -29,10 +29,9 @@ from .dataio import (
 from .errors import ConfigError, DataError, NumericalError
 from .estimator import NwParams, _responses_in_range
 from .evaluation import (
-    BenchmarkCell,
     ParamGrid,
     _complete_grid,
-    benchmark_replications,
+    benchmark_cells,
     ccr,
     cv_select,
     cv_select_classification_pairs,
@@ -262,8 +261,6 @@ def cmd_classify(cfg: ExperimentConfig) -> str:
 
 
 def cmd_benchmark(cfg: ExperimentConfig) -> str:
-    jobs = _threads(cfg)
-    cells = []
     designs = [
         (shape, sigma, a)
         for shape in cfg.shapes
@@ -276,18 +273,13 @@ def cmd_benchmark(cfg: ExperimentConfig) -> str:
             f"shape={shape[0]}x{shape[1]} sigma={sigma!r} a={a!r} "
             f"({cfg.n_reps} replications)"
         )
-        result = benchmark_replications(
-            shape,
-            a,
-            sigma,
-            cfg.n_reps,
-            grids=(cfg.grid, cfg.grid),
-            base_seed=cfg.seed + index * cfg.n_reps,
-            n_jobs=jobs,
-        )
-        cells.append(
-            BenchmarkCell(shape=shape, sigma=sigma, a=a, n_reps=cfg.n_reps, result=result)
-        )
+    cells = benchmark_cells(
+        designs,
+        cfg.n_reps,
+        grids=(cfg.grid, cfg.grid),
+        base_seed=cfg.seed,
+        n_jobs=_threads(cfg),
+    )
     _emit(cells, cfg)
     return f"benchmarked {len(cells)} cells x {cfg.n_reps} replications (seed {cfg.seed})"
 

@@ -232,9 +232,10 @@ def _raw_weights(dx: np.ndarray, ds: np.ndarray, p) -> np.ndarray:
         u1 = dx / p.h
         u2 = ds / p.rho
     else:
-        u1 = _scaled(dx, _row_bandwidths(dx, p.k))
-        h = _row_bandwidths(_positive_distances(ds), p.k_prime, _POSITIVE_SITES)
-        u2 = _scaled(ds, h)
+        (h1,) = _row_bandwidths(dx, (p.k,))
+        (h2,) = _row_bandwidths(_positive_distances(ds), (p.k_prime,), _POSITIVE_SITES)
+        u1 = _scaled(dx, h1)
+        u2 = _scaled(ds, h2)
     return eval_scalar(p.k1, u1) * eval_scalar(p.k2, u2)
 
 
@@ -374,21 +375,27 @@ def nw_weights(
     return WeightVector(raw[0], bool(_normalize(raw)[0]))
 
 
-def regress(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
+def regress(data: SpatialDataset, s0, x, p, exclude=None) -> float:
     """Regression-function estimate at ``(s0, x)``.
 
     Evaluates the numerator and denominator densities with their explicit
     normalizing constant ``1 / (n * h^N * H^d)`` and returns their ratio;
     algebraically identical to :func:`predict` (the constant cancels),
-    kept separate so that identity is testable. Falls back to the
-    empirical mean when the denominator vanishes.
+    kept separate so that identity is testable. ``p`` may be
+    :class:`KnnParams` (``H`` and ``h`` are the k-th and k'-th neighbour
+    distances) or :class:`NwParams` (``H = h`` and ``h = rho``). Falls
+    back to the empirical mean when the denominator vanishes; raises
+    ``DataError`` when arithmetic on the responses overflows.
     """
     if data.responses is None:
         raise ValueError("dataset has no responses to regress on")
     raw, excluded = _query_weights(data, s0, x, p, exclude)
     prod = raw[0]
-    H = knn_bandwidth(data.covariates, x, p.k, exclude=exclude).bandwidth
-    h = spatial_bandwidth(data.sites, s0, p.k_prime, exclude=exclude).bandwidth
+    if isinstance(p, NwParams):
+        H, h = p.h, p.rho
+    else:
+        H = knn_bandwidth(data.covariates, x, p.k, exclude=exclude).bandwidth
+        h = spatial_bandwidth(data.sites, s0, p.k_prime, exclude=exclude).bandwidth
     if H > 0.0:
         const = 1.0 / (len(data) * h ** data.sites.ndim * H ** data.d)
     else:
@@ -396,8 +403,9 @@ def regress(data: SpatialDataset, s0, x, p: KnnParams, exclude=None) -> float:
     f_hat = const * prod.sum()
     if f_hat == 0.0:
         return float(_mean_of_kept(data.responses, excluded))
-    g_hat = const * np.vecdot(prod, data.responses)
-    return float(g_hat / f_hat)
+    with _responses_in_range():
+        g_hat = const * np.vecdot(prod, data.responses)
+        return float(g_hat / f_hat)
 
 
 def _check_labels(data: SpatialDataset) -> np.ndarray:

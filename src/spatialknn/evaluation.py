@@ -36,7 +36,14 @@ keeps its whole leave-one-out site distances and each k'-th neighbour
 site bandwidth there too, shared by every dataset on the lattice.
 Covariate distances change with each dataset and are computed per
 pass. Kept values are computed exactly as a first call computes them,
-so results keep their bits; a larger set keeps nothing n²-sized.
+so results keep their bits; a larger set keeps nothing n²-sized. Every
+k-th neighbour bandwidth of a row block comes from one sort of its
+rows, whatever the number of ranks in the grid.
+
+A benchmark run hands all its cells to :func:`benchmark_cells`, which
+submits every replication of every cell to one worker pool. A worker
+so fills its site-set memo and the simulator's caches once per run,
+not once per cell, and the pool drains once, at the end of the run.
 """
 
 from __future__ import annotations
@@ -495,18 +502,20 @@ def _loo_distances(data: SpatialDataset, rows: slice):
 def _site_bandwidths(sites: SiteSet, ds: np.ndarray, rows: slice, k_primes) -> dict:
     """Each row's k'-th positive-distance site bandwidth, for every k'.
 
-    One partition per k'; for a whole block that :func:`_kept_whole`
-    allows, each k' is partitioned once per site set and kept.
+    One sort of the rows serves every k'. For a whole block that
+    :func:`_kept_whole` allows, each k' is kept once per site set: the
+    first k' not kept yet sorts the rows for all of them.
     """
-    rank = functools.cache(lambda: _positive_distances(ds))
 
-    def bandwidths(k_prime):
-        return _row_bandwidths(rank(), k_prime, _POSITIVE_SITES)
+    def bandwidths():
+        columns = _row_bandwidths(_positive_distances(ds), k_primes, _POSITIVE_SITES)
+        return dict(zip(k_primes, columns))
 
     if not _kept_whole(len(sites), rows):
-        return {kp: bandwidths(kp) for kp in k_primes}
+        return bandwidths()
+    sorted_once = functools.cache(bandwidths)
     return {
-        kp: sites._memoized(("site_bandwidths", kp), lambda: bandwidths(kp))
+        kp: sites._memoized(("site_bandwidths", kp), lambda: sorted_once()[kp])
         for kp in k_primes
     }
 
@@ -631,7 +640,7 @@ def _grid_search(data: SpatialDataset, grid: ParamGrid, method: str, scorer) -> 
         scores = np.empty_like(losses)
         dx, ds = _loo_distances(data, rows)
         if method == "knn":
-            h1 = {k: _row_bandwidths(dx, k) for k in main_vals}
+            h1 = dict(zip(main_vals, _row_bandwidths(dx, main_vals)))
             h2 = _site_bandwidths(data.sites, ds, rows, aux_vals)
 
             def scaled1(k):
@@ -862,11 +871,90 @@ def _benchmark_one(shape, a, sigma, seed, knn_grid, nw_grid):
     return cv_select(data, kg, "knn")[1], cv_select(data, ng, "nw")[1]
 
 
-def _with_replication(r: int, exc: Exception) -> Exception:
+def _with_replication(where: str, exc: Exception) -> Exception:
     try:
-        return type(exc)(f"replication {r}: {exc}")
+        return type(exc)(f"{where}: {exc}")
     except Exception:
-        return NumericalError(f"replication {r}: {exc}")
+        return NumericalError(f"{where}: {exc}")
+
+
+def _paired_result(pairs) -> BenchmarkResult:
+    knn_maes = np.array([p[0] for p in pairs])
+    nw_maes = np.array([p[1] for p in pairs])
+    try:
+        t_stat, p_value = paired_ttest(nw_maes, knn_maes)
+    except DegenerateInputError:
+        t_stat = p_value = None
+    return BenchmarkResult(
+        knn=EvalReport.from_values(knn_maes),
+        nw=EvalReport.from_values(nw_maes),
+        t_stat=t_stat,
+        p_value=p_value,
+    )
+
+
+def benchmark_cells(designs, n_reps: int, grids=None, base_seed: int = 0, n_jobs: int = 1) -> list:
+    """:func:`benchmark_replications` for every ``(shape, sigma, a)`` design.
+
+    Returns one :class:`BenchmarkCell` per design, in order. Replication
+    ``r`` of design ``i`` uses seed ``base_seed + i * n_reps + r``, so
+    each cell equals the :func:`benchmark_replications` call with
+    ``base_seed + i * n_reps``. Every replication of every cell goes to
+    one pool of at most ``n_jobs`` workers (None: the CPU count), never
+    more than there are replications, before any result is awaited: a
+    worker keeps its lattice memo and simulator caches from cell to
+    cell, and no worker idles at the end of a cell while another
+    finishes it. Cells and their replications reduce in index order,
+    whatever ``n_jobs``; at 1 everything runs in this process.
+    """
+    n_reps = int(n_reps)
+    if n_reps < 2:
+        raise ValueError("need at least 2 replications for the paired test")
+    knn_grid, nw_grid = (None, None) if grids is None else grids
+    designs = [
+        (tuple(int(v) for v in shape), float(sigma), float(a)) for shape, sigma, a in designs
+    ]
+    arglist = [
+        (shape, a, sigma, int(base_seed) + i * n_reps + r, knn_grid, nw_grid)
+        for i, (shape, sigma, a) in enumerate(designs)
+        for r in range(n_reps)
+    ]
+
+    def where(j):
+        i, r = divmod(j, n_reps)
+        return f"replication {r}" if len(designs) == 1 else f"cell {i + 1} replication {r}"
+
+    if n_jobs is None:
+        n_jobs = os.cpu_count() or 1
+    # no more workers than replications: a fork pool starts all of them
+    n_jobs = min(int(n_jobs), len(arglist))
+    pairs = [None] * len(arglist)
+    if n_jobs <= 1:
+        for j, args in enumerate(arglist):
+            try:
+                pairs[j] = _benchmark_one(*args)
+            except Exception as exc:
+                raise _with_replication(where(j), exc) from exc
+    else:
+        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+            futures = [pool.submit(_benchmark_one, *args) for args in arglist]
+            for j, future in enumerate(futures):
+                try:
+                    pairs[j] = future.result()
+                except Exception as exc:
+                    for pending in futures:  # leaving the pool still waits for running ones
+                        pending.cancel()
+                    raise _with_replication(where(j), exc) from exc
+    return [
+        BenchmarkCell(
+            shape=shape,
+            sigma=sigma,
+            a=a,
+            n_reps=n_reps,
+            result=_paired_result(pairs[i * n_reps : (i + 1) * n_reps]),
+        )
+        for i, (shape, sigma, a) in enumerate(designs)
+    ]
 
 
 def benchmark_replications(
@@ -887,45 +975,8 @@ def benchmark_replications(
     records each method's selected leave-one-out MAE. The paired test
     asks whether the fixed-bandwidth method's MAE exceeds the adaptive
     one's. Deterministic given ``base_seed``; replications reduce in
-    index order regardless of ``n_jobs``.
+    index order regardless of ``n_jobs``. The one-cell case of
+    :func:`benchmark_cells`.
     """
-    n_reps = int(n_reps)
-    if n_reps < 2:
-        raise ValueError("need at least 2 replications for the paired test")
-    knn_grid, nw_grid = (None, None) if grids is None else grids
-    shape = tuple(int(v) for v in shape)
-    arglist = [
-        (shape, float(a), float(sigma), int(base_seed) + r, knn_grid, nw_grid)
-        for r in range(n_reps)
-    ]
-    if n_jobs is None:
-        n_jobs = os.cpu_count() or 1
-    # no more workers than replications: a fork pool starts all of them
-    n_jobs = min(int(n_jobs), n_reps)
-    pairs = [None] * n_reps
-    if n_jobs <= 1:
-        for r, args in enumerate(arglist):
-            try:
-                pairs[r] = _benchmark_one(*args)
-            except Exception as exc:
-                raise _with_replication(r, exc) from exc
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [pool.submit(_benchmark_one, *args) for args in arglist]
-            for r, future in enumerate(futures):
-                try:
-                    pairs[r] = future.result()
-                except Exception as exc:
-                    raise _with_replication(r, exc) from exc
-    knn_maes = np.array([p[0] for p in pairs])
-    nw_maes = np.array([p[1] for p in pairs])
-    try:
-        t_stat, p_value = paired_ttest(nw_maes, knn_maes)
-    except DegenerateInputError:
-        t_stat = p_value = None
-    return BenchmarkResult(
-        knn=EvalReport.from_values(knn_maes),
-        nw=EvalReport.from_values(nw_maes),
-        t_stat=t_stat,
-        p_value=p_value,
-    )
+    (cell,) = benchmark_cells([(shape, sigma, a)], n_reps, grids, base_seed, n_jobs)
+    return cell.result

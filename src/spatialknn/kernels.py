@@ -51,6 +51,9 @@ def _epanechnikov(u):
 
 
 def _gaussian(u):
+    # exp(-0.5 * 40**2) = exp(-800) is already 0.0, so clamping at 40
+    # changes no value and keeps a huge u from overflowing when squared
+    np.minimum(u, 40.0, out=u)
     np.multiply(u, u, out=u)
     np.multiply(u, -0.5, out=u)
     return np.exp(u, out=u)

@@ -558,6 +558,36 @@ def test_benchmark_byte_identical_across_thread_counts(tmp_path, capsys, monkeyp
     assert b"degenerate" not in blobs[0]
 
 
+@pytest.mark.parametrize("threads, workers", [("2", 2), ("8", 4)])
+def test_benchmark_runs_every_cell_in_one_pool(tmp_path, capsys, recording_pool, threads, workers):
+    # two cells of two replications: one pool, no more workers than the
+    # run's four replications, and the serial run's bytes
+    cfg = write(tmp_path, "bench.cfg", BENCH_CFG)
+    outs = [tmp_path / f"b{i}.csv" for i in range(2)]
+    for t, out in zip(("1", threads), outs):
+        code, _, _ = run(
+            capsys, "benchmark", "--config", cfg, "--output", str(out), "--threads", t
+        )
+        assert code == 0
+    assert recording_pool.sizes == [workers]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_benchmark_failure_names_cell_and_replication(tmp_path, capsys, threads):
+    # k = 30 needs 30 covariates besides a site's own; 6x6 has 35, 5x5 only 24
+    cfg = write(
+        tmp_path,
+        "bench.cfg",
+        BENCH_CFG.replace("shapes = 6x6", "shapes = 6x6, 5x5").replace(
+            "k_values = 4", "k_values = 30"
+        ),
+    )
+    code, _, err = run(capsys, "benchmark", "--config", cfg, "--threads", threads)
+    assert code == 1
+    assert "error: cell 3 replication 0: k=30 out of range" in err
+
+
 def test_benchmark_default_grids_byte_identical_across_thread_counts(tmp_path, capsys):
     # default grids use every kept value: neighbour counts, the rho axis,
     # the site distances and bandwidths of the lattice a worker reuses

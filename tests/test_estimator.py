@@ -5,6 +5,8 @@ from scratch with full sorts and explicit loops, sharing no code with
 the vectorized implementation beyond the kernel closed forms.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,39 @@ def test_regress_equals_predict():
         assert regress(data, s0, x, p) == pytest.approx(
             predict(data, s0, x, p), abs=1e-12
         )
+
+
+@pytest.mark.parametrize("method", ["knn", "nw"])
+def test_regress_equals_predict_for_both_parameter_types(method):
+    rng = np.random.default_rng(212)
+    for _ in range(30):
+        data = random_dataset(rng)
+        k1, k2 = (KERNEL_NAMES[i] for i in rng.integers(0, 6, size=2))
+        if method == "knn":
+            n = len(data)
+            p = KnnParams(int(rng.integers(1, n + 1)), int(rng.integers(1, n)), k1, k2)
+        else:
+            p = NwParams(float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)), k1, k2)
+        s0, x = rng.normal(size=2), rng.normal(size=data.d)
+        assert regress(data, s0, x, p) == pytest.approx(predict(data, s0, x, p), rel=1e-12)
+
+
+def test_regress_raises_when_responses_overflow():
+    data = random_dataset(np.random.default_rng(6), n=10, d=1)
+    data = SpatialDataset(
+        sites=data.sites, covariates=data.covariates, responses=np.full(10, 1.7e308)
+    )
+    s0, x = data.sites.coords[0], data.covariates[0]  # a query with weight
+    assert knn_weights(data, s0, x, KnnParams(k=3, k_prime=3)).normalized
+    with pytest.raises(DataError, match="overflow"):
+        regress(data, s0, x, KnnParams(k=3, k_prime=3))
+
+
+def test_tiny_gaussian_bandwidth_predicts_without_warning():
+    data = random_dataset(np.random.default_rng(7), n=10, d=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        predict(data, [0.5, 0.5], [0.5], NwParams(1e-300, 1.0, "gaussian", "gaussian"))
 
 
 def test_nw_equals_knn_when_bandwidths_match():

@@ -12,6 +12,7 @@ Point values below were computed by hand from the closed forms:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,16 @@ def test_inf_argument_is_zero(name):
     assert eval_scalar(name, np.inf) == 0.0
     out = eval_scalar(name, np.array([0.0, np.inf, -np.inf]))
     assert out[1] == 0.0 and out[2] == 0.0
+
+
+def test_gaussian_of_a_huge_argument_is_zero_without_warning():
+    # squaring 1e200 would overflow; the argument is clamped where the
+    # kernel is already 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_scalar("gaussian", 1e200) == 0.0
+        np.testing.assert_array_equal(eval_scalar("gaussian", [1e200, -1e300, 40.0]), 0.0)
+    assert eval_scalar("gaussian", 38.0) > 0.0
 
 
 @pytest.mark.parametrize("name", KERNEL_NAMES)

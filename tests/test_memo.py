@@ -17,7 +17,7 @@ import pickle
 import sys
 import threading
 import weakref
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -245,34 +245,12 @@ def test_threads_drawing_a_fresh_shape_get_the_serial_arrays():
         np.testing.assert_array_equal(data.responses, serial.responses)
 
 
-class RecordingPool:
-    """Runs each task at once in this process; records its worker count."""
-
-    sizes = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 @pytest.mark.parametrize("n_jobs, n_reps, workers", [(8, 3, 3), (2, 5, 2), (3, 3, 3)])
-def test_pool_has_no_more_workers_than_replications(monkeypatch, n_jobs, n_reps, workers):
-    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
+def test_pool_has_no_more_workers_than_replications(recording_pool, n_jobs, n_reps, workers):
     grids = (
         ParamGrid(k_values=(4,), k_prime_values=(5,)),
         ParamGrid(h_values=(1.0,), rho_values=(0.3,)),
     )
     res = benchmark_replications((5, 5), 5.0, 0.1, n_reps, grids=grids, n_jobs=n_jobs)
-    assert RecordingPool.sizes == [workers]
+    assert recording_pool.sizes == [workers]
     assert res == benchmark_replications((5, 5), 5.0, 0.1, n_reps, grids=grids, n_jobs=1)

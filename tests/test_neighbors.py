@@ -1,11 +1,23 @@
-"""Bandwidth order-statistic tests against a full-sort oracle."""
+"""Bandwidth order-statistic tests against a full-sort oracle, and the
+sorted-row block helper against one ``np.partition`` per rank."""
+
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from spatialknn.errors import DataError
-from spatialknn.lattice import SiteSet, distances_to
-from spatialknn.neighbors import knn_bandwidth, spatial_bandwidth
+from spatialknn.lattice import SiteSet, distances_between, distances_to
+from spatialknn.neighbors import (
+    _POSITIVE_SITES,
+    _positive_distances,
+    _row_bandwidths,
+    knn_bandwidth,
+    spatial_bandwidth,
+)
 
 
 def sorted_kth(points, query, k, exclude=()):
@@ -138,3 +150,68 @@ def test_spatial_bandwidth_accepts_raw_arrays_and_sitesets():
     coords = np.array([[0.0, 0.0], [3.0, 4.0]])
     assert spatial_bandwidth(coords, [0.0, 0.0], 1).bandwidth == 5.0
     assert spatial_bandwidth(SiteSet(coords), [0.0, 0.0], 1).bandwidth == 5.0
+
+
+# ---------------------------------------------------------------------------
+# one sort of the rows for every rank
+
+
+def partition_kth(dist, k, what):
+    """One rank the way a partition per rank takes it, errors included."""
+    available = np.isfinite(dist).sum(axis=1)
+    short = np.flatnonzero(available < k)
+    if short.size:
+        a = int(available[short[0]])
+        if a == 0:
+            raise ValueError(f"no {what} available")
+        raise ValueError(f"k={k} out of range: exceeds the {a} available {what}")
+    return np.partition(dist, k - 1, axis=1)[:, k - 1]
+
+
+@st.composite
+def distance_blocks(draw):
+    """A block of rows with ties and inf columns, or the positive
+    leave-one-out site distances of sites with duplicates; and ranks."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        dist = draw(arrays(float, (m, n), elements=st.sampled_from([0.0, 0.5, 1.0, 2.0, np.inf])))
+        what = "points"
+    else:
+        # sites on a 3x3 grid of integers, so duplicates and tied distances are common
+        coords = draw(arrays(float, (n, 2), elements=st.sampled_from([0.0, 1.0, 2.0])))
+        m = min(m, n)
+        dist = distances_between(coords, coords[:m])
+        dist[np.arange(m), np.arange(m)] = np.inf
+        dist = _positive_distances(dist)
+        what = _POSITIVE_SITES
+    ks = draw(st.lists(st.integers(1, n + 1), min_size=1, max_size=4))
+    return dist, ks, what
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=distance_blocks())
+def test_sorted_rows_equal_a_partition_per_rank(case):
+    dist, ks, what = case
+    expected = []
+    try:
+        for k in ks:
+            expected.append(partition_kth(dist, k, what))
+    except ValueError as exc:
+        # the first rank in the given order that some row cannot supply
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            _row_bandwidths(dist, ks, what)
+        return
+    got = _row_bandwidths(dist, ks, what)
+    assert got.shape == (len(ks), len(dist))
+    assert got.tobytes() == np.array(expected).tobytes()  # bit for bit
+
+
+def test_row_bandwidths_check_ranks_in_the_given_order():
+    dist = np.array([[1.0, 2.0, np.inf], [1.0, np.inf, np.inf]])
+    with pytest.raises(ValueError, match="^k=3 out of range: exceeds the 2 available points$"):
+        _row_bandwidths(dist, (1, 3, 2))
+    with pytest.raises(ValueError, match="^k=2 out of range: exceeds the 1 available sites$"):
+        _row_bandwidths(dist, (1, 2, 3), "sites")
+    with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+        _row_bandwidths(dist, (0, 3))
